@@ -48,12 +48,15 @@ differential:
 
 # backend-differential isolates the evaluation-backend contract: the
 # randomized interpreter/compiled/bitslice equivalence tests in internal/sim
-# (including the lane-packed BatchBackend sweep), the scaffold-benchmark
-# backend sweep with bitsliced speculation lanes, and the faulted-system
-# agreement checks (sequential and batched), all under the race detector.
+# (including restore interleavings, the msp430/rv32 restore random walk and
+# the lane-packed BatchBackend sweep), the scaffold-benchmark backend sweep
+# with bitsliced speculation lanes, and the faulted-system agreement checks
+# (sequential and batched), all under the race detector. One iteration of
+# the restore-layer micro-benchmark runs too, so it cannot bit-rot.
 backend-differential:
 	$(GO) test -race -timeout $(TEST_TIMEOUT) ./internal/sim \
 		-run 'TestBackend|TestParseBackend|TestBitslice|TestBatch'
+	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/sim -run '^$$' -bench EvalAfterRestore -benchtime 1x
 	$(GO) test -race -timeout $(TEST_TIMEOUT) ./internal/glift \
 		-run 'TestDifferential|TestFuzz'
 	$(GO) test -race -timeout $(TEST_TIMEOUT) ./internal/fault \

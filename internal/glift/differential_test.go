@@ -168,3 +168,42 @@ func TestDifferentialSpecLanes(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelDoneSchedStats: the Done snapshot of a parallel run carries
+// the stopped speculation pool's final scheduler counters — never below the
+// last intermediate snapshot, so a consumer folding the cumulative feed
+// into counters (gliftd's glift_engine_spec_*_total) keeps the run's final
+// interval — and reports no worker still busy.
+func TestParallelDoneSchedStats(t *testing.T) {
+	bt, err := bench.BuildUnmodified(bench.ByName("binSearch"))
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	var last, done glift.Progress
+	opt := &glift.Options{Workers: 2, Progress: func(p glift.Progress) {
+		if p.Done {
+			done = p
+		} else {
+			last = p
+		}
+	}}
+	if _, err := glift.Analyze(bt.Img, bt.Policy, opt); err != nil {
+		t.Fatal(err)
+	}
+	if !done.Done || last.Stats.Cycles == 0 {
+		t.Fatalf("want intermediate and Done snapshots (last cycles %d, done %v)", last.Stats.Cycles, done.Done)
+	}
+	d, l := done.Sched, last.Sched
+	t.Logf("last intermediate %+v, Done %+v", l, d)
+	for _, c := range []struct {
+		name       string
+		done, last uint64
+	}{{"Steals", d.Steals, l.Steals}, {"SpecUsed", d.SpecUsed, l.SpecUsed}, {"SpecWasted", d.SpecWasted, l.SpecWasted}} {
+		if c.done == 0 || c.done < c.last {
+			t.Errorf("Done %s = %d, last intermediate %d: want non-zero and no lower", c.name, c.done, c.last)
+		}
+	}
+	if d.Workers != 1 || d.Busy != 0 {
+		t.Errorf("Done sched Workers=%d Busy=%d, want 1 and 0", d.Workers, d.Busy)
+	}
+}

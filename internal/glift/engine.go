@@ -321,20 +321,22 @@ func (e *Engine) RunContext(ctx context.Context) (rep *Report) {
 	e.runStart = time.Now()
 	e.ctx = ctx
 	defer func() {
+		// The pool stops before the final emission, which then carries the
+		// stopped pool's final scheduler counters.
+		if e.pool != nil {
+			e.pool.stop()
+		}
 		e.report.Stats.WallNanos = e.sinceStart().Nanoseconds()
 		if p := recover(); p != nil {
 			e.report.Err = recoveredError(p)
 		}
 		rep = e.report
 		e.emitProgress(true)
+		e.pool = nil
 	}()
 
 	if w := e.workerCount(); w > 1 {
 		e.pool = newSpecPool(e, w-1)
-		defer func() {
-			e.pool.stop()
-			e.pool = nil
-		}()
 	}
 
 	e.Sys.PowerOn()
@@ -545,23 +547,27 @@ func modifiesPC(d *mcu.Design, ci *mcu.CycleInfo) bool {
 type tableOutcome uint8
 
 const (
-	// tableInserted: first visit; a clone of the state became the entry.
+	// tableInserted: first visit; the state became the entry.
 	tableInserted tableOutcome = iota
 	// tableReplaced: below the widening threshold; the entry now tracks
 	// this precise state and the path continues from it unchanged.
 	tableReplaced
 	// tablePruned: the state is covered by the entry; stop the path.
 	tablePruned
-	// tableWidened: the entry was widened to a superstate covering this
-	// state; the path must continue from the returned superstate.
+	// tableWidened: the entry was replaced by a new superstate covering
+	// this state; the path must continue from the returned superstate.
 	tableWidened
 )
 
 // tableApply runs the conservative-state-table protocol for key k against
 // post — the single authority shared by merge points, successor pushes and
-// speculation replay, so all three stay byte-for-byte equivalent. On
-// tableWidened the second result is the conservative superstate (owned by
-// the table; callers must Clone before mutating or enqueueing it).
+// speculation replay, so all three stay byte-for-byte equivalent.
+//
+// Snapshots are immutable once the engine holds them, so the table keeps
+// post itself on insert and replace (it may also sit in the work queue or
+// a speculation trace), and a widening builds a fresh merged snapshot
+// instead of merging into the entry in place. On tableWidened the second
+// result is that superstate, which callers may restore and enqueue as is.
 func (e *Engine) tableApply(k forkKey, post *mcu.Snapshot) (tableOutcome, *mcu.Snapshot) {
 	e.tableMu.Lock()
 	defer e.tableMu.Unlock()
@@ -575,10 +581,12 @@ func (e *Engine) tableApply(k forkKey, post *mcu.Snapshot) (tableOutcome, *mcu.S
 		if c.visits <= e.widenAfter {
 			// Below the widening threshold: track the precise state so
 			// concretely-bounded loops unroll exactly.
-			c.snap = post.Clone()
+			c.snap = post
 			return tableReplaced, nil
 		}
-		c.snap.MergeFrom(post)
+		merged := c.snap.Clone()
+		merged.MergeFrom(post)
+		c.snap = merged
 		e.report.Stats.Merges++
 		e.traceEvent(EvMerge, k.pc, len(e.table), "")
 		if e.debugMerge != nil {
@@ -586,7 +594,7 @@ func (e *Engine) tableApply(k forkKey, post *mcu.Snapshot) (tableOutcome, *mcu.S
 		}
 		return tableWidened, c.snap
 	}
-	e.table[k] = &tableEntry{snap: post.Clone(), visits: 1}
+	e.table[k] = &tableEntry{snap: post, visits: 1}
 	e.report.Stats.TableStates = len(e.table)
 	return tableInserted, nil
 }
@@ -633,7 +641,8 @@ func (e *Engine) fork(ci *mcu.CycleInfo) {
 // workers. For each combination it either reports an unresolved target
 // (onUnresolved, with the violation detail) or evaluates the forced cycle
 // and hands it to onSucc, which must commit it; sys is left in the last
-// combination's state.
+// combination's state. The first combination runs without a restore:
+// EvalCycle commits nothing, so sys still holds the pre-fork state.
 func forkOutcomes(sys *mcu.System, ci *mcu.CycleInfo,
 	onUnresolved func(detail string), onSucc func(k forkKey, civ *mcu.CycleInfo)) {
 	pre := sys.Snapshot()
@@ -671,7 +680,9 @@ func forkOutcomes(sys *mcu.System, ci *mcu.CycleInfo,
 			return
 		}
 		for combo := 0; combo < 1<<len(xbits); combo++ {
-			sys.Restore(pre)
+			if combo > 0 {
+				sys.Restore(pre)
+			}
 			forced := make(map[netlist.NetID]logic.Sig, len(xbits))
 			for j, bit := range xbits {
 				forced[sys.D.PCNext[bit]] = logic.Sig{
@@ -690,7 +701,9 @@ func forkOutcomes(sys *mcu.System, ci *mcu.CycleInfo,
 	}
 
 	for combo := 0; combo < 1<<len(cands); combo++ {
-		sys.Restore(pre)
+		if combo > 0 {
+			sys.Restore(pre)
+		}
 		forced := make(map[netlist.NetID]logic.Sig, len(cands))
 		for i, c := range cands {
 			v := logic.Zero
@@ -733,7 +746,7 @@ func (e *Engine) push(post *mcu.Snapshot, curInstr uint16, k forkKey, applyTable
 		case tablePruned:
 			return
 		case tableWidened:
-			post = cont.Clone()
+			post = cont
 		}
 	}
 	e.pushSeq++

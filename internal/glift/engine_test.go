@@ -1,11 +1,14 @@
 package glift
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/isa"
 	"repro/internal/logic"
+	"repro/internal/mcu"
+	"repro/internal/sim"
 )
 
 func mustImage(t *testing.T, src string) *asm.Image {
@@ -461,4 +464,64 @@ func TestAddrRangePattern(t *testing.T) {
 		t.Fatal("pattern pinned outside should not intersect")
 	}
 	_ = isa.RAMStart
+}
+
+// TestTableApplyCopyOnMerge pins the snapshot-immutability contract of the
+// conservative state table: insert and replace keep the caller's snapshot
+// itself, which may also sit in the work queue, so a later widening must
+// build a new superstate rather than merge into the entry in place.
+func TestTableApplyCopyOnMerge(t *testing.T) {
+	e, err := NewEngine(mustImage(t, "start: jmp start\n"), &Policy{Name: "cow"}, &Options{WidenAfter: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Sys.PowerOn()
+	base := e.Sys.Snapshot()
+	variant := func(v logic.V, ram uint16) *mcu.Snapshot {
+		s := base.Clone()
+		s.DFF[0] = logic.Pack(logic.S(v, false))
+		s.RAM.StoreByte(s.RAM.Base(), sim.Word{Val: ram})
+		return s
+	}
+	k := forkKey{pc: 0x4242}
+	queued := variant(logic.One, 0x22)
+	steps := []struct {
+		snap *mcu.Snapshot
+		want tableOutcome
+	}{
+		{variant(logic.Zero, 0x11), tableInserted},
+		{queued, tableReplaced},
+		{variant(logic.Zero, 0x33), tableWidened},
+	}
+	wantDFF := append([]logic.Packed(nil), queued.DFF...)
+	wantRAM := queued.RAM.Snapshot()
+	var cont *mcu.Snapshot
+	for i, st := range steps {
+		oc, c := e.tableApply(k, st.snap)
+		if oc != st.want {
+			t.Fatalf("step %d: outcome %d, want %d", i, oc, st.want)
+		}
+		if oc == tableReplaced {
+			// The replaced entry is the queued state itself, as when a
+			// fork successor is both tabled and pushed.
+			if e.table[k].snap != queued {
+				t.Fatal("replace did not keep the caller's snapshot")
+			}
+			e.work = append(e.work, pathState{snap: queued})
+		}
+		cont = c
+	}
+	ps := e.work[len(e.work)-1]
+	if !reflect.DeepEqual(ps.snap.DFF, wantDFF) || !reflect.DeepEqual(ps.snap.RAM, wantRAM) {
+		t.Fatal("widening mutated a snapshot held by a queued path state")
+	}
+	if cont == queued || e.table[k].snap != cont {
+		t.Fatal("widening must install a fresh superstate as the entry")
+	}
+	// Replace drops the first state; the superstate joins the other two.
+	for i, st := range steps[1:] {
+		if !st.snap.SubstateOf(cont) {
+			t.Errorf("superstate does not cover step %d's state", i+1)
+		}
+	}
 }

@@ -285,6 +285,11 @@ func (s *System) RunToCompletion(maxCycles uint64) (uint64, error) {
 }
 
 // Snapshot captures the machine state (flip-flops + data memory).
+//
+// A snapshot is immutable once the analysis engine holds it: one snapshot
+// may be shared by the conservative state table, the work queue and
+// speculation traces at the same time, so MergeFrom runs only on a fresh
+// Clone, never on a snapshot someone else may hold.
 type Snapshot struct {
 	DFF []logic.Packed
 	RAM *sim.TaintMem
@@ -345,7 +350,8 @@ func (sn *Snapshot) SubstateOf(c *Snapshot) bool {
 	return sn.RAM.Substate(c.RAM)
 }
 
-// MergeFrom widens sn to also cover o.
+// MergeFrom widens sn to also cover o. sn must be a fresh Clone that no one
+// else holds (see Snapshot).
 func (sn *Snapshot) MergeFrom(o *Snapshot) {
 	for i := range sn.DFF {
 		sn.DFF[i] = logic.Pack(logic.Merge(logic.Unpack(sn.DFF[i]), logic.Unpack(o.DFF[i])))

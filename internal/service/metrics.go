@@ -205,9 +205,10 @@ type engineProgress struct {
 // panic on negative additions, and the cumulative values observed here are
 // not guaranteed monotone: with parallel exploration a snapshot can carry a
 // wall-clock or scheduler reading that interleaves against the previous
-// one, and the final Done emission is taken after the speculation pool has
-// been torn down. A clamped interval under-counts briefly and catches up on
-// the next snapshot; a negative one would take the whole exporter down.
+// one. The final Done emission carries the stopped speculation pool's
+// totals, so a run's last interval is counted too. A clamped interval
+// under-counts briefly and catches up on the next snapshot; a negative one
+// would take the whole exporter down.
 func counterDelta[T int | int64 | uint64](cur, prev T) float64 {
 	if cur <= prev {
 		return 0

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/glift"
 )
 
@@ -111,9 +112,9 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 // TestEngineProgressNonMonotonic: the delta feed must survive cumulative
 // readings that go backwards. Registry counters panic on negative Add, and
 // a parallel run's snapshots are not guaranteed monotone in every field
-// (the Done emission, for one, is taken after the speculation pool is torn
-// down, so its scheduler counters reset to zero). The guard clamps such
-// intervals instead of crashing the job's worker goroutine.
+// (a busy or wall-clock reading can interleave against the previous one).
+// The guard clamps such intervals instead of crashing the job's worker
+// goroutine.
 func TestEngineProgressNonMonotonic(t *testing.T) {
 	m := newPromMetrics(1)
 	ep := &engineProgress{m: m}
@@ -138,7 +139,7 @@ func TestEngineProgressNonMonotonic(t *testing.T) {
 		Stats: glift.Stats{Cycles: 900, Paths: 8, Forks: 3, WallNanos: 90},
 		Sched: glift.SchedStats{},
 	})
-	// And the Done emission with zeroed scheduler state must drain the
+	// And a Done emission with zeroed scheduler state must drain the
 	// gauges back to zero rather than pushing them negative forever.
 	ep.observe(glift.Progress{
 		Stats: glift.Stats{Cycles: 1100, Paths: 11, Forks: 6, WallNanos: 120},
@@ -149,5 +150,46 @@ func TestEngineProgressNonMonotonic(t *testing.T) {
 	}
 	if v := m.engDequeDepth.Value(); v != 0 {
 		t.Errorf("deque-depth gauge = %v after Done, want 0", v)
+	}
+}
+
+// TestEngineProgressParallelRun: fed a real 2-worker run, the scheduler
+// counters end at the run's final totals — the Done snapshot carries the
+// stopped pool's counters, so the last interval is not dropped — and the
+// busy and deque gauges drain back to zero once the run completes.
+func TestEngineProgressParallelRun(t *testing.T) {
+	bt, err := bench.BuildUnmodified(bench.ByName("binSearch"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newPromMetrics(1)
+	var done glift.Progress
+	ep := &engineProgress{m: m, next: func(p glift.Progress) {
+		if p.Done {
+			done = p
+		}
+	}}
+	if _, err := glift.Analyze(bt.Img, bt.Policy, &glift.Options{Workers: 2, Progress: ep.observe}); err != nil {
+		t.Fatal(err)
+	}
+	sc := done.Sched
+	for _, c := range []struct {
+		name string
+		got  float64
+		want uint64
+	}{
+		{"steals", m.engSteals.Value(), sc.Steals},
+		{"spec-used", m.engSpecUsed.Value(), sc.SpecUsed},
+		{"spec-wasted", m.engSpecWasted.Value(), sc.SpecWasted},
+	} {
+		if c.want == 0 || c.got != float64(c.want) {
+			t.Errorf("%s counter = %v, want the run's final total %d (non-zero)", c.name, c.got, c.want)
+		}
+	}
+	if v := m.engSpecBusy.Value(); v != 0 {
+		t.Errorf("spec-busy gauge = %v after the run, want 0", v)
+	}
+	if v := m.engDequeDepth.Value(); v != 0 {
+		t.Errorf("deque-depth gauge = %v after the run, want 0", v)
 	}
 }

@@ -37,7 +37,11 @@ type Backend interface {
 	// DFFState returns a copy of the flip-flop output values.
 	DFFState() []logic.Packed
 	// RestoreDFFState installs previously captured flip-flop outputs. The
-	// host must Eval before reading any combinational net.
+	// host must Eval before reading any combinational net. A restore is a
+	// bulk flip-flop update like Clock: forcings of the previous Eval stay
+	// remembered, so the next Eval releases them exactly as it would after
+	// a clock edge, and an incremental backend need only re-evaluate the
+	// fanout of the flip-flops whose value differs.
 	RestoreDFFState(st []logic.Packed)
 
 	// vals exposes the backend's dense per-net value array for the

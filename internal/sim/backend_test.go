@@ -65,9 +65,9 @@ func compareAllNets(t *testing.T, n *netlist.Netlist, ref, got *Circuit, step st
 // TestBackendEquivalence drives the reference interpreter and every other
 // registered backend through identical randomized stimulus — input changes,
 // evaluations, forced evaluations (including repeated and released
-// forcings), clocks, snapshot restores and re-inits — and demands
-// bit-identical values on every net plus identical toggle counts after
-// every operation.
+// forcings), clocks, snapshot restores interleaved with forcing and
+// clocking, and re-inits — and demands bit-identical values on every net
+// plus identical toggle counts after every operation.
 func TestBackendEquivalence(t *testing.T) {
 	for _, kind := range Backends() {
 		if kind == BackendInterp {
@@ -95,8 +95,33 @@ func TestBackendEquivalence(t *testing.T) {
 					}
 				}
 				var snaps [][]logic.Packed
+				forcedEval := func() {
+					forced := map[netlist.NetID]logic.Sig{}
+					for k := 0; k < 1+rnd.Intn(3); k++ {
+						forced[forceable[rnd.Intn(len(forceable))]] = backendSigs[rnd.Intn(len(backendSigs))]
+					}
+					ref.Eval(forced)
+					got.Eval(forced)
+				}
+				clock := func(step int) {
+					ref.Clock()
+					got.Clock()
+					if ref.Toggles != got.Toggles {
+						t.Fatalf("seed %d step %d: toggles ref=%d got=%d", seed, step, ref.Toggles, got.Toggles)
+					}
+				}
+				// restore installs a random earlier snapshot on both sides,
+				// taking the first one when none exists yet.
+				restore := func() {
+					if len(snaps) == 0 {
+						snaps = append(snaps, ref.DFFState())
+					}
+					st := snaps[rnd.Intn(len(snaps))]
+					ref.RestoreDFFState(st)
+					got.RestoreDFFState(st)
+				}
 				for step := 0; step < 120; step++ {
-					switch op := rnd.Intn(10); {
+					switch op := rnd.Intn(13); {
 					case op < 4: // drive some inputs, then eval
 						for _, in := range inputs {
 							if rnd.Intn(2) == 0 {
@@ -108,30 +133,33 @@ func TestBackendEquivalence(t *testing.T) {
 						ref.Eval(nil)
 						got.Eval(nil)
 					case op < 6: // forced evaluation
-						forced := map[netlist.NetID]logic.Sig{}
-						for k := 0; k < 1+rnd.Intn(3); k++ {
-							forced[forceable[rnd.Intn(len(forceable))]] = backendSigs[rnd.Intn(len(backendSigs))]
-						}
-						ref.Eval(forced)
-						got.Eval(forced)
+						forcedEval()
 					case op < 8: // clock, then settle
-						ref.Clock()
-						got.Clock()
-						if ref.Toggles != got.Toggles {
-							t.Fatalf("seed %d step %d: toggles ref=%d got=%d", seed, step, ref.Toggles, got.Toggles)
-						}
+						clock(step)
 						ref.Eval(nil)
 						got.Eval(nil)
 					case op < 9: // snapshot or restore
 						if len(snaps) == 0 || rnd.Intn(2) == 0 {
 							snaps = append(snaps, ref.DFFState())
 						} else {
-							st := snaps[rnd.Intn(len(snaps))]
-							ref.RestoreDFFState(st)
-							got.RestoreDFFState(st)
+							restore()
 							ref.Eval(nil)
 							got.Eval(nil)
 						}
+					case op < 10: // restore, then a forced evaluation
+						restore()
+						forcedEval()
+					case op < 11: // a force released in the same Eval as a restore
+						forcedEval()
+						compareAllNets(t, n, ref, got, "seed/step (forced before restore)")
+						restore()
+						ref.Eval(nil)
+						got.Eval(nil)
+					case op < 12: // restore, clock on the restored state, settle
+						restore()
+						clock(step)
+						ref.Eval(nil)
+						got.Eval(nil)
 					default: // re-init
 						ref.InitX()
 						got.InitX()

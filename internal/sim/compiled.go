@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"sync"
 
 	"repro/internal/logic"
@@ -42,52 +43,53 @@ func flatLUT() ([]logic.Packed, map[logic.Op]int32) {
 	return flatTab, flatOff
 }
 
+// instr is one lowered gate. tab is the gate's offset into the flat LUT
+// (for ckConst, the packed output value itself); in0..in2 are input net
+// indices (in0 is a mux's select), unused ones zero.
+type instr struct {
+	out, tab, in0, in1, in2 int32
+	kind                    uint8
+}
+
 // compiled is the default evaluation backend. Construction lowers the
-// netlist once into a flat struct-of-arrays instruction stream in level
-// order (one instruction per gate: kind, LUT offset, input net indices,
-// output net index), plus a CSR fanout adjacency from nets to the
+// netlist once into a flat instruction stream in level order (one instr
+// record per gate), plus a CSR fanout adjacency from nets to the
 // instructions consuming them, both derived from netlist.Levelize.
 //
-// Eval is change-driven: a per-level dirty worklist is seeded by the nets
-// that changed since the last Eval (host Sets, Clocked flip-flop outputs,
-// forced nets, and nets whose forcing was released), and only instructions
-// whose inputs actually changed value are re-evaluated. Because a gate's
-// consumers always sit at a strictly higher level, draining the buckets in
-// level order evaluates every dirty gate exactly once, after all its dirty
-// inputs settled — the fixpoint is identical to the interpreter's full
-// sweep, which is what keeps analysis reports byte-identical across
-// backends.
+// Eval is change-driven: a dirty bitset over instruction positions is
+// seeded by the nets that changed since the last Eval (host Sets, flip-flop
+// outputs written by Clock or RestoreDFFState, forced nets, and nets whose
+// forcing was released), and only instructions whose inputs actually
+// changed value are re-evaluated. Level order is topological — a gate's
+// consumers always sit at strictly higher positions — so draining the
+// bitset by ascending position evaluates every dirty gate exactly once,
+// after all its dirty inputs settled. The fixpoint is identical to the
+// interpreter's full sweep, which is what keeps analysis reports
+// byte-identical across backends.
 //
-// InitX and RestoreDFFState invalidate incremental knowledge wholesale (the
-// whole state changed); the next Eval then runs one full sweep of the
-// stream and incremental evaluation resumes from there.
+// A restore is a bulk flip-flop update like a clock edge: it enqueues only
+// the flip-flops whose value differs, so restoring a sibling snapshot costs
+// what it changes, not the whole netlist. Only InitX invalidates
+// incremental knowledge (its all-X value array is not a fixpoint); the next
+// Eval then runs one full sweep and incremental evaluation resumes.
 type compiled struct {
 	nl   *netlist.Netlist
 	v    []logic.Packed // current value of every net
 	tmp  []logic.Packed // scratch for DFF next-state computation
 	rstv []logic.Packed // per-DFF packed (untainted) reset value
 
-	// The instruction stream, index = position in level order.
-	kind   []uint8
-	tab    []int32 // offset into flat; for ckConst, the packed value itself
-	in0    []int32
-	in1    []int32
-	in2    []int32
-	out    []int32
-	ilevel []int32
-	flat   []logic.Packed
+	code []instr // the instruction stream, index = position in level order
+	flat []logic.Packed
 
 	fanIdx    []int32 // CSR: net -> consuming instruction positions
 	fan       []int32
 	driverPos []int32 // net -> driving instruction position, or -1
 
-	// Dirty-worklist state. Epoch stamps make per-Eval membership tests
-	// (already queued? forced this Eval?) single array reads with no
-	// clearing between calls.
+	dirty []uint64 // bitset over instruction positions awaiting evaluation
+	// epoch counts the Evals that force nets; forcedEp stamps each net such
+	// an Eval forces, and is read only while one runs.
 	epoch      uint64
-	queuedEp   []uint64 // per instruction: enqueued at this epoch
-	forcedEp   []uint64 // per net: forced at this epoch
-	buckets    [][]int32
+	forcedEp   []uint64
 	pending    []netlist.NetID // nets changed since the last Eval
 	prevForced []netlist.NetID // nets forced by the previous Eval
 	needFull   bool
@@ -105,18 +107,11 @@ func newCompiled(nl *netlist.Netlist) (*compiled, error) {
 		v:         make([]logic.Packed, nn),
 		tmp:       make([]logic.Packed, len(nl.DFFs)),
 		rstv:      make([]logic.Packed, len(nl.DFFs)),
-		kind:      make([]uint8, ng),
-		tab:       make([]int32, ng),
-		in0:       make([]int32, ng),
-		in1:       make([]int32, ng),
-		in2:       make([]int32, ng),
-		out:       make([]int32, ng),
-		ilevel:    make([]int32, ng),
+		code:      make([]instr, ng),
 		flat:      flat,
 		driverPos: make([]int32, nn),
-		queuedEp:  make([]uint64, ng),
+		dirty:     make([]uint64, (ng+63)/64),
 		forcedEp:  make([]uint64, nn),
-		buckets:   make([][]int32, lv.NumLevels()),
 		needFull:  true,
 	}
 	for i, d := range nl.DFFs {
@@ -126,31 +121,31 @@ func newCompiled(nl *netlist.Netlist) (*compiled, error) {
 	for p, gi := range lv.Order {
 		g := &nl.Gates[gi]
 		pos[gi] = int32(p)
-		c.out[p] = int32(g.Out)
-		c.ilevel[p] = lv.GateLevel[gi]
+		in := &c.code[p]
+		in.out = int32(g.Out)
 		switch g.Op.Arity() {
 		case 0:
-			c.kind[p] = ckConst
+			in.kind = ckConst
 			if g.Op == logic.Const1 {
-				c.tab[p] = int32(logic.Pack(logic.One0))
+				in.tab = int32(logic.Pack(logic.One0))
 			} else {
-				c.tab[p] = int32(logic.Pack(logic.Zero0))
+				in.tab = int32(logic.Pack(logic.Zero0))
 			}
 		case 1:
-			c.kind[p] = ckUnary
-			c.tab[p] = off[g.Op]
-			c.in0[p] = int32(g.In[0])
+			in.kind = ckUnary
+			in.tab = off[g.Op]
+			in.in0 = int32(g.In[0])
 		case 2:
-			c.kind[p] = ckBinary
-			c.tab[p] = off[g.Op]
-			c.in0[p] = int32(g.In[0])
-			c.in1[p] = int32(g.In[1])
+			in.kind = ckBinary
+			in.tab = off[g.Op]
+			in.in0 = int32(g.In[0])
+			in.in1 = int32(g.In[1])
 		default:
-			c.kind[p] = ckMux
-			c.tab[p] = off[logic.Mux]
-			c.in0[p] = int32(g.In[0]) // select
-			c.in1[p] = int32(g.In[1])
-			c.in2[p] = int32(g.In[2])
+			in.kind = ckMux
+			in.tab = off[logic.Mux]
+			in.in0 = int32(g.In[0]) // select
+			in.in1 = int32(g.In[1])
+			in.in2 = int32(g.In[2])
 		}
 	}
 	c.fanIdx = make([]int32, nn+1)
@@ -195,14 +190,16 @@ func (c *compiled) InitX() {
 }
 
 func (c *compiled) Eval(forced map[netlist.NetID]logic.Sig) {
-	c.epoch++
-	ep := c.epoch
-	for id, s := range forced {
-		c.forcedEp[id] = ep
-		c.Set(id, logic.Pack(s))
+	isForced := len(forced) > 0
+	if isForced {
+		c.epoch++
+		for id, s := range forced {
+			c.forcedEp[id] = c.epoch
+			c.Set(id, logic.Pack(s))
+		}
 	}
 	if c.needFull {
-		c.fullSweep(ep)
+		c.fullSweep(isForced)
 		c.needFull = false
 		c.pending = c.pending[:0]
 	} else {
@@ -210,17 +207,18 @@ func (c *compiled) Eval(forced map[netlist.NetID]logic.Sig) {
 		// combinational driver computes (sourceless nets — inputs, DFF
 		// outputs — simply hold their value, like in the interpreter).
 		for _, id := range c.prevForced {
-			if c.forcedEp[id] != ep {
-				if dp := c.driverPos[id]; dp >= 0 {
-					c.enqueue(dp, ep)
-				}
+			if isForced && c.forcedEp[id] == c.epoch {
+				continue
+			}
+			if dp := c.driverPos[id]; dp >= 0 {
+				c.mark(dp)
 			}
 		}
 		for _, id := range c.pending {
-			c.seed(id, ep)
+			c.seed(id)
 		}
 		c.pending = c.pending[:0]
-		c.drain(ep)
+		c.drain(isForced)
 	}
 	c.prevForced = c.prevForced[:0]
 	for id := range forced {
@@ -228,70 +226,62 @@ func (c *compiled) Eval(forced map[netlist.NetID]logic.Sig) {
 	}
 }
 
-// enqueue marks one instruction dirty, once per epoch.
-func (c *compiled) enqueue(p int32, ep uint64) {
-	if c.queuedEp[p] != ep {
-		c.queuedEp[p] = ep
-		l := c.ilevel[p]
-		c.buckets[l] = append(c.buckets[l], p)
-	}
-}
+// mark flags one instruction position for the next drain.
+func (c *compiled) mark(p int32) { c.dirty[p>>6] |= 1 << uint(p&63) }
 
 // seed marks every consumer of a changed net dirty.
-func (c *compiled) seed(id netlist.NetID, ep uint64) {
+func (c *compiled) seed(id netlist.NetID) {
 	for _, p := range c.fan[c.fanIdx[id]:c.fanIdx[id+1]] {
-		c.enqueue(p, ep)
+		c.mark(p)
 	}
 }
 
-// drain evaluates the dirty instructions level by level. Instructions only
-// ever enqueue into strictly higher levels (a gate's consumers are deeper),
-// so each bucket is complete when its level is reached.
-func (c *compiled) drain(ep uint64) {
-	for l := range c.buckets {
-		b := c.buckets[l]
-		for i := 0; i < len(b); i++ {
-			c.step(b[i], ep)
+// drain evaluates the dirty instructions in ascending position. An
+// instruction only ever dirties strictly higher positions (its consumers
+// are deeper), so each one is final when the scan reaches it; re-reading
+// the current word picks up consumers marked within it.
+func (c *compiled) drain(isForced bool) {
+	v, dirty := c.v, c.dirty
+	for w := range dirty {
+		for dirty[w] != 0 {
+			p := w<<6 | bits.TrailingZeros64(dirty[w])
+			dirty[w] &= dirty[w] - 1
+			in := &c.code[p]
+			o := in.out
+			if isForced && c.forcedEp[o] == c.epoch {
+				continue // the forced value wins over the driver this Eval
+			}
+			if nv := c.evalInstr(in); nv != v[o] {
+				v[o] = nv
+				c.seed(netlist.NetID(o))
+			}
 		}
-		c.buckets[l] = b[:0]
 	}
 }
 
-// step re-evaluates one dirty instruction and propagates on actual change.
-func (c *compiled) step(p int32, ep uint64) {
-	o := c.out[p]
-	if c.forcedEp[o] == ep {
-		return // the forced value wins over the driver this Eval
-	}
-	nv := c.evalInstr(p)
-	if nv != c.v[o] {
-		c.v[o] = nv
-		c.seed(netlist.NetID(o), ep)
-	}
-}
-
-func (c *compiled) evalInstr(p int32) logic.Packed {
-	switch c.kind[p] {
+func (c *compiled) evalInstr(in *instr) logic.Packed {
+	v := c.v
+	switch in.kind {
 	case ckUnary:
-		return c.flat[c.tab[p]+int32(c.v[c.in0[p]])]
+		return c.flat[in.tab+int32(v[in.in0])]
 	case ckBinary:
-		return c.flat[c.tab[p]+int32(c.v[c.in0[p]])*logic.NumPacked+int32(c.v[c.in1[p]])]
+		return c.flat[in.tab+int32(v[in.in0])*logic.NumPacked+int32(v[in.in1])]
 	case ckMux:
-		return c.flat[c.tab[p]+(int32(c.v[c.in0[p]])*logic.NumPacked+int32(c.v[c.in1[p]]))*logic.NumPacked+int32(c.v[c.in2[p]])]
+		return c.flat[in.tab+(int32(v[in.in0])*logic.NumPacked+int32(v[in.in1]))*logic.NumPacked+int32(v[in.in2])]
 	default:
-		return logic.Packed(c.tab[p])
+		return logic.Packed(in.tab)
 	}
 }
 
 // fullSweep evaluates the whole stream in level order, used for the first
-// Eval and after InitX/RestoreDFFState.
-func (c *compiled) fullSweep(ep uint64) {
-	for p := range c.kind {
-		o := c.out[p]
-		if c.forcedEp[o] == ep {
+// Eval and after InitX.
+func (c *compiled) fullSweep(isForced bool) {
+	for p := range c.code {
+		in := &c.code[p]
+		if isForced && c.forcedEp[in.out] == c.epoch {
 			continue
 		}
-		c.v[o] = c.evalInstr(int32(p))
+		c.v[in.out] = c.evalInstr(in)
 	}
 }
 
@@ -306,17 +296,10 @@ func (c *compiled) Clock() uint64 {
 	var toggles uint64
 	for i := range dffs {
 		q := dffs[i].Q
-		old := v[q]
-		nv := c.tmp[i]
-		if (old^nv)&3 != 0 {
+		if (v[q]^c.tmp[i])&3 != 0 {
 			toggles++
 		}
-		if old != nv {
-			v[q] = nv
-			if !c.needFull {
-				c.pending = append(c.pending, q)
-			}
-		}
+		c.Set(q, c.tmp[i])
 	}
 	return toggles
 }
@@ -331,8 +314,6 @@ func (c *compiled) DFFState() []logic.Packed {
 
 func (c *compiled) RestoreDFFState(st []logic.Packed) {
 	for i, d := range c.nl.DFFs {
-		c.v[d.Q] = st[i]
+		c.Set(d.Q, st[i])
 	}
-	c.pending = c.pending[:0]
-	c.needFull = true
 }
