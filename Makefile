@@ -47,10 +47,10 @@ differential:
 		-run 'TestDifferential|TestTableContention|TestParallel|TestFuzz'
 
 # backend-differential isolates the evaluation-backend contract: the
-# randomized interpreter/compiled/bitslice equivalence tests in internal/sim
+# randomized interpreter/compiled equivalence tests in internal/sim
 # (including restore interleavings, the msp430/rv32 restore random walk and
-# the lane-packed BatchBackend sweep), the scaffold-benchmark backend sweep
-# with bitsliced speculation lanes, and the faulted-system agreement checks
+# the per-lane BatchBackend sweep against the interpreter), the
+# scaffold-benchmark backend sweep, and the faulted-system agreement checks
 # (sequential and batched), all under the race detector. One iteration of
 # the restore-layer micro-benchmark runs too, so it cannot bit-rot.
 backend-differential:
@@ -66,8 +66,8 @@ backend-differential:
 # the shared round loop and its golden wire shape, the transform property
 # corpus (mask idempotence, partition confinement, PC round-trips), every
 # scaffold benchmark through gliftd-vs-reference byte equality including the
-# workers × backend × spec-lanes knob sweep that justifies excluding those
-# knobs from the repair cache key, and the binary-level secure430-vs-daemon
+# workers × backend knob sweep that justifies excluding those knobs from the
+# repair cache key, and the binary-level secure430-vs-daemon
 # and kill -9 recovery tests (see DESIGN.md "Repair as a service").
 repair-differential:
 	$(GO) test -race -timeout $(TEST_TIMEOUT) ./internal/repair ./internal/transform

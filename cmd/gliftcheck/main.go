@@ -46,13 +46,12 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/asm"
 	"repro/internal/glift"
 	"repro/internal/obs"
+	"repro/internal/repair"
 	"repro/internal/sim"
 	"repro/internal/target"
 )
@@ -86,8 +85,7 @@ func main() {
 	traceN := flag.Int("taint-trace", 0, "print the first N per-cycle tainted-state entries")
 	jsonOut := flag.Bool("json", false, "emit the report as JSON on stdout (the gliftd wire shape)")
 	workers := flag.Int("workers", 0, "engine exploration workers (0: GOMAXPROCS, 1: sequential); the report is identical either way")
-	backendName := flag.String("backend", "", "gate-evaluation backend: "+backendHelp()+"; the report is byte-identical either way")
-	specLanes := flag.Int("spec-lanes", 0, "pack up to N queued paths per speculation worker onto bitsliced lanes (0 or 1: scalar, max 64); the report is identical either way")
+	backendName := flag.String("backend", "", sim.FlagHelp()+"; the report is byte-identical either way")
 	verbose := flag.Bool("v", false, "print exploration statistics")
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -108,19 +106,19 @@ func main() {
 	}
 
 	pol := &glift.Policy{Name: "cli", TaintCodeWords: *taintWords}
-	if pol.TaintedInPorts, err = parsePorts(*taintedIn); err != nil {
+	if pol.TaintedInPorts, err = repair.ParsePorts(*taintedIn); err != nil {
 		fatal(err)
 	}
-	if pol.TaintedOutPorts, err = parsePorts(*taintedOut); err != nil {
+	if pol.TaintedOutPorts, err = repair.ParsePorts(*taintedOut); err != nil {
 		fatal(err)
 	}
-	if pol.TaintedCode, err = parseRanges(*taintedCode, img); err != nil {
+	if pol.TaintedCode, err = repair.ResolveRanges(repair.SplitRangeList(*taintedCode), img); err != nil {
 		fatal(err)
 	}
-	if pol.TaintedData, err = parseRanges(*taintedData, img); err != nil {
+	if pol.TaintedData, err = repair.ResolveRanges(repair.SplitRangeList(*taintedData), img); err != nil {
 		fatal(err)
 	}
-	if pol.InitiallyTaintedData, err = parseRanges(*initTainted, img); err != nil {
+	if pol.InitiallyTaintedData, err = repair.ResolveRanges(repair.SplitRangeList(*initTainted), img); err != nil {
 		fatal(err)
 	}
 
@@ -128,7 +126,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := &glift.Options{MaxCycles: *maxCycles, SoftMemBytes: *softMem, HardMemBytes: *hardMem, Workers: *workers, Backend: backend, SpecLanes: *specLanes}
+	opts := &glift.Options{MaxCycles: *maxCycles, SoftMemBytes: *softMem, HardMemBytes: *hardMem, Workers: *workers, Backend: backend}
 	var rec *glift.TraceRecorder
 	if *traceN > 0 {
 		rec = &glift.TraceRecorder{Max: *traceN}
@@ -211,62 +209,6 @@ func main() {
 		}
 	}
 	os.Exit(verdict.ExitCode())
-}
-
-func parsePorts(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 || n > 4 {
-			return nil, fmt.Errorf("bad port %q (want 1-4)", part)
-		}
-		out = append(out, n-1)
-	}
-	return out, nil
-}
-
-func parseRanges(s string, img *asm.Image) ([]glift.AddrRange, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []glift.AddrRange
-	for _, part := range strings.Split(s, ",") {
-		lo, hi, ok := strings.Cut(strings.TrimSpace(part), ":")
-		if !ok {
-			return nil, fmt.Errorf("bad range %q (want lo:hi)", part)
-		}
-		l, err := resolve(lo, img)
-		if err != nil {
-			return nil, err
-		}
-		h, err := resolve(hi, img)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, glift.AddrRange{Lo: l, Hi: h})
-	}
-	return out, nil
-}
-
-func resolve(s string, img *asm.Image) (uint16, error) {
-	if v, ok := img.Symbol(s); ok {
-		return v, nil
-	}
-	n, err := strconv.ParseUint(strings.ToLower(s), 0, 16)
-	if err != nil {
-		return 0, fmt.Errorf("cannot resolve %q as a symbol or address", s)
-	}
-	return uint16(n), nil
-}
-
-// backendHelp renders the registered backend names for flag help, with the
-// registry's first entry marked as the default.
-func backendHelp() string {
-	names := sim.BackendNames()
-	return names[0] + " (default), " + strings.Join(names[1:], ", ")
 }
 
 // fatal reports a usage/input error (exit code 2 in the documented

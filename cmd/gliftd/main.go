@@ -81,8 +81,7 @@ func main() {
 	cache := flag.Int("cache", 1024, "content-addressed result cache entries")
 	deadline := flag.Duration("deadline", 0, "default per-job deadline (0: none)")
 	engineWorkers := flag.Int("engine-workers", 1, "exploration workers per engine run (0: GOMAXPROCS); service workers multiply with engine workers")
-	engineBackend := flag.String("engine-backend", "", "gate-evaluation backend for jobs that do not request one: "+backendHelp())
-	engineSpecLanes := flag.Int("engine-spec-lanes", 0, "bitsliced speculation lanes per worker for jobs that do not request them (0 or 1: scalar, max 64)")
+	engineBackend := flag.String("engine-backend", "", sim.FlagHelp()+"; applies to jobs that do not request one")
 	storeDir := flag.String("store-dir", "", "crash-safe persistent result store directory (empty: memory-only cache)")
 	storeMax := flag.Int64("store-max-bytes", 0, "persistent store byte cap, oldest evicted first (0: unbounded)")
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant admission rate in jobs/sec, keyed by X-Tenant (0: unlimited)")
@@ -124,7 +123,6 @@ func main() {
 		DefaultDeadline:    *deadline,
 		EngineWorkers:      *engineWorkers,
 		EngineBackend:      backend,
-		EngineSpecLanes:    *engineSpecLanes,
 		StoreDir:           *storeDir,
 		StoreMaxBytes:      *storeMax,
 		StoreWriteDelay:    *chaosSlowWrite,
@@ -213,11 +211,4 @@ func parseLevel(s string) (slog.Level, error) {
 		return slog.LevelError, nil
 	}
 	return 0, fmt.Errorf("unknown -log-level %q (debug, info, warn, error)", s)
-}
-
-// backendHelp renders the registered backend names for flag help, with the
-// registry's first entry marked as the default.
-func backendHelp() string {
-	names := sim.BackendNames()
-	return names[0] + " (default), " + strings.Join(names[1:], ", ")
 }

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 
 	"repro/internal/mcu"
 	"repro/internal/sim"
@@ -35,7 +34,7 @@ func main() {
 	seed := flag.Uint("seed", 0xACE1, "LFSR seed for port inputs")
 	vcdPath := flag.String("vcd", "", "write a VCD waveform here")
 	taintP1 := flag.Bool("taint-p1", false, "drive P1IN as tainted unknown (symbolic)")
-	backendName := flag.String("backend", "", "gate-evaluation backend: "+backendHelp()+"; results are identical either way")
+	backendName := flag.String("backend", "", sim.FlagHelp()+"; results are identical either way")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: run430 [flags] app.s43")
@@ -156,13 +155,6 @@ func regString(sys *mcu.System, nets synth.Word) string {
 		return sys.GetWord(nets).String()
 	}
 	return sys.GetWord(nets[16:]).String() + ":" + sys.GetWord(nets[:16]).String()
-}
-
-// backendHelp renders the registered backend names for flag help, with the
-// registry's first entry marked as the default.
-func backendHelp() string {
-	names := sim.BackendNames()
-	return names[0] + " (default), " + strings.Join(names[1:], ", ")
 }
 
 // fatal reports a usage/input error; exit code 2 matches the

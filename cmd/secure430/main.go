@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
 	"repro/internal/asm"
@@ -65,8 +64,7 @@ func main() {
 	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON trace covering all rounds to this file")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget for all rounds together (0: none); expiry exits 3")
 	workers := flag.Int("workers", 0, "engine exploration workers per round (0: GOMAXPROCS, 1: sequential); the report is identical either way")
-	backendName := flag.String("backend", "", "gate-evaluation backend: "+backendHelp()+"; the report is byte-identical either way")
-	specLanes := flag.Int("spec-lanes", 0, "pack up to N queued paths per speculation worker onto bitsliced lanes (0 or 1: scalar, max 64); the report is identical either way")
+	backendName := flag.String("backend", "", sim.FlagHelp()+"; the report is byte-identical either way")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: secure430 [flags] app.s43 (see -help)")
@@ -127,7 +125,7 @@ func main() {
 		fatal(err)
 	}
 	var xt *obs.ExplorationTrace
-	opts := &glift.Options{Workers: *workers, Backend: backend, SpecLanes: *specLanes}
+	opts := &glift.Options{Workers: *workers, Backend: backend}
 	if *traceFile != "" {
 		xt = obs.NewExplorationTrace(0)
 		opts.Tracer = xt.Record
@@ -203,13 +201,6 @@ func main() {
 		}
 	}
 	os.Exit(verdict.ExitCode())
-}
-
-// backendHelp renders the registered backend names for flag help, with the
-// registry's first entry marked as the default.
-func backendHelp() string {
-	names := sim.BackendNames()
-	return names[0] + " (default), " + strings.Join(names[1:], ", ")
 }
 
 // writeChromeTrace dumps the recorded exploration trace to path.

@@ -129,6 +129,12 @@ func TestGliftcheckExitCodes(t *testing.T) {
 	if code, _ := run(t, gc, writeSrc(t, "bad.s43", "not an instruction\n")); code != 2 {
 		t.Errorf("unassemblable source: exit %d, want 2", code)
 	}
+	if code, _ := run(t, gc, "-backend", "bitslice", clean); code != 2 {
+		t.Errorf("removed backend: exit %d, want 2", code)
+	}
+	if code, _ := run(t, gc, "-tainted-code", "nosuch:end", clean); code != 2 {
+		t.Errorf("unresolvable range symbol: exit %d, want 2", code)
+	}
 	// An already-expired deadline aborts the exploration before it proves
 	// anything: fail closed with exit 3, never 0.
 	if code, _ := run(t, gc, "-deadline", "1ns", clean); code != 3 {
@@ -152,6 +158,12 @@ func TestSecure430ExitCodes(t *testing.T) {
 	}
 	if code, _ := run(t, sc, filepath.Join(t.TempDir(), "missing.s43")); code != 2 {
 		t.Errorf("missing input: exit %d, want 2", code)
+	}
+	if code, _ := run(t, sc, "-backend", "bitslice", viol); code != 2 {
+		t.Errorf("removed backend: exit %d, want 2", code)
+	}
+	if code, _ := run(t, sc, "-tainted-code", "nosuch:end", viol); code != 2 {
+		t.Errorf("unresolvable range symbol: exit %d, want 2", code)
 	}
 	if code, _ := run(t, sc, "-deadline", "1ns", viol); code != 3 {
 		t.Errorf("expired deadline: exit %d, want 3", code)

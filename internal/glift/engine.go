@@ -42,16 +42,6 @@ type Options struct {
 	// time and is excluded from Normalized() and content-addressed job
 	// keys.
 	Backend sim.BackendKind
-	// SpecLanes packs queued path states into word-parallel speculation
-	// batches: each speculation worker claims up to SpecLanes states and
-	// simulates them in lockstep on one bitsliced sim.BatchBackend, one
-	// state per lane, instead of one at a time (0 or 1: scalar speculation;
-	// capped at sim.BatchLanes). Lanes that hit a fork retire with a
-	// truncated trace, which the committer finishes live — the standard
-	// truncation path — so like Workers and Backend this changes only wall
-	// time, never the report, and is excluded from Normalized() and
-	// content-addressed job keys. Ignored for sequential runs (Workers 1).
-	SpecLanes int
 	// MaxPathCycles bounds cycles on one path segment without a merge point
 	// (0: default 200k) — a straight-line runaway guard.
 	MaxPathCycles uint64
@@ -122,7 +112,6 @@ func (o *Options) Normalized() Options {
 	out := o.withDefaults()
 	out.Workers = 0
 	out.Backend = sim.BackendCompiled
-	out.SpecLanes = 0
 	return out
 }
 
@@ -783,21 +772,11 @@ func (e *Engine) violation(k Kind, pc uint16, detail string) {
 
 // ---- Per-cycle policy checking (Section 4.2 / 5.1) ----
 
-// machineView is the read-only probe surface the per-cycle policy checks
-// need from a simulation instance. *mcu.System implements it directly;
-// mcu.LaneView adapts one lane of a batched (bitsliced) system, so the same
-// checker runs unchanged on scalar and lane-packed speculation.
-type machineView interface {
-	Design() *mcu.Design
-	GetWord(nets []netlist.NetID) sim.Word
-	GetSig(id netlist.NetID) logic.Sig
-}
-
 // anyTainted scans a probe word bit by bit. Unlike GetWord(...).Tainted()
 // it is width-safe: GetWord packs into a 16-bit sim.Word and silently
 // drops bits 16 and up, which would make the scan unsound for a target
 // with registers wider than 16 bits (identical behaviour at width <= 16).
-func anyTainted(v machineView, nets []netlist.NetID) bool {
+func anyTainted(v *mcu.System, nets []netlist.NetID) bool {
 	for _, id := range nets {
 		if v.GetSig(id).T {
 			return true
@@ -811,7 +790,7 @@ func anyTainted(v machineView, nets []netlist.NetID) bool {
 // live engine raises into its report; speculation workers record raises
 // into their segment trace for deterministic replay.
 type cycleChecker struct {
-	sys      machineView
+	sys      *mcu.System
 	pol      *Policy
 	ramRange AddrRange
 	raise    func(k Kind, pc uint16, detail string)
@@ -842,7 +821,7 @@ func (c *cycleChecker) check(ci *mcu.CycleInfo, curInstr uint16) {
 
 	// Watchdog integrity: the untainted-reset mechanism is sound only while
 	// the watchdog's state and write strobe stay untainted (Section 5.2).
-	d := c.sys.Design()
+	d := c.sys.D
 	if c.sys.GetSig(d.WdtWe).T ||
 		anyTainted(c.sys, d.WdtCtl) ||
 		anyTainted(c.sys, d.WdtCnt) {
@@ -867,7 +846,7 @@ func (c *cycleChecker) check(ci *mcu.CycleInfo, curInstr uint16) {
 // else can observe them), so residual taint there cannot influence a later
 // task — see DESIGN.md.
 func (c *cycleChecker) coreStateTainted() (string, bool) {
-	d := c.sys.Design()
+	d := c.sys.D
 	named := []struct {
 		name string
 		w    []netlist.NetID
@@ -901,7 +880,7 @@ func (c *cycleChecker) checkLoad(ci *mcu.CycleInfo, curInstr uint16, taintedTask
 		if c.pol.InTaintedData(a) {
 			c.raise(C3LoadTainted, curInstr, fmt.Sprintf("untainted code loads from tainted partition address %#04x", a))
 		}
-		if i, ok := portInIndex(c.sys.Design(), a); ok && c.pol.TaintedInPort(i) {
+		if i, ok := portInIndex(c.sys.D, a); ok && c.pol.TaintedInPort(i) {
 			c.raise(C4ReadTaintedPort, curInstr, fmt.Sprintf("untainted code reads tainted input port P%d", i+1))
 		}
 		return
@@ -914,7 +893,7 @@ func (c *cycleChecker) checkLoad(ci *mcu.CycleInfo, curInstr uint16, taintedTask
 		}
 	}
 	for i := 0; i < mcu.NumPorts; i++ {
-		if c.pol.TaintedInPort(i) && matchesPattern(c.sys.Design().Map.PortIn[i], free, addr.Val) {
+		if c.pol.TaintedInPort(i) && matchesPattern(c.sys.D.Map.PortIn[i], free, addr.Val) {
 			c.raise(C4ReadTaintedPort, curInstr, "unknown load address may reach a tainted input port")
 			break
 		}
@@ -922,7 +901,7 @@ func (c *cycleChecker) checkLoad(ci *mcu.CycleInfo, curInstr uint16, taintedTask
 }
 
 func (c *cycleChecker) checkStore(ci *mcu.CycleInfo, curInstr uint16, taintedTask bool) {
-	d := c.sys.Design()
+	d := c.sys.D
 	addr, data := ci.Addr, ci.WData
 	free := addr.XM | addr.TT
 	taintsTarget := data.Tainted() || addr.TT != 0 || ci.We.T

@@ -1,7 +1,6 @@
 package mcu
 
 import (
-	"fmt"
 	"math/bits"
 
 	"repro/internal/logic"
@@ -10,16 +9,16 @@ import (
 )
 
 // BatchSystem drives up to 64 independent machine contexts over one
-// bitsliced backend: every lane has its own behavioural memories, port
-// inputs, reset line and event log, while the gate-level state advances in
-// lockstep through shared word-parallel Evals. The per-cycle protocol is
-// System's, vectorized: EvalCycle runs the same three passes with per-lane
-// memory feedback (fetch, load dispatch), CommitLanes applies per-lane
-// stores and one shared clock edge.
+// bitsliced backend: every lane has its own behavioural memories and port
+// inputs, while the gate-level state advances in lockstep through shared
+// word-parallel Evals. The per-cycle protocol is System's, vectorized:
+// EvalCycle runs the same three passes with per-lane memory feedback
+// (fetch, load dispatch), CommitLanes applies per-lane stores and one
+// shared clock edge.
 //
 // The behavioural memory semantics are shared with System via memIO, so a
 // lane is cycle-exact against a scalar System fed the same stimulus — the
-// property the batched fault campaign and lane-packed speculation rest on.
+// property the batched fault campaign rests on.
 type BatchSystem struct {
 	D *Design
 	B *sim.BatchBackend
@@ -27,11 +26,8 @@ type BatchSystem struct {
 	Cycle uint64
 
 	lanes        int
-	rom          []*sim.TaintMem
-	ram          []*sim.TaintMem
-	rst          []logic.Sig
+	rst          logic.Sig // external reset, driven on every lane alike
 	portIn       [][NumPorts]sim.Word
-	events       [][]string
 	mem          []memIO
 	portsApplied bool
 	cis          []CycleInfo
@@ -49,18 +45,12 @@ func NewBatchSystem(d *Design, lanes int) (*BatchSystem, error) {
 		D:      d,
 		B:      be,
 		lanes:  lanes,
-		rom:    make([]*sim.TaintMem, lanes),
-		ram:    make([]*sim.TaintMem, lanes),
-		rst:    make([]logic.Sig, lanes),
+		rst:    logic.Zero0,
 		portIn: make([][NumPorts]sim.Word, lanes),
-		events: make([][]string, lanes),
 		mem:    make([]memIO, lanes),
 		cis:    make([]CycleInfo, lanes),
 	}
 	for lane := 0; lane < lanes; lane++ {
-		b.rom[lane] = sim.NewTaintMem(d.Map.ROMStart, int(d.Map.ROMEnd)-int(d.Map.ROMStart))
-		b.ram[lane] = sim.NewTaintMem(d.Map.RAMStart, int(d.Map.RAMEnd)-int(d.Map.RAMStart))
-		b.rst[lane] = logic.Zero0
 		for i := 0; i < NumPorts; i++ {
 			b.portIn[lane][i] = sim.Word{XM: 0xffff}
 		}
@@ -69,66 +59,30 @@ func NewBatchSystem(d *Design, lanes int) (*BatchSystem, error) {
 	return b, nil
 }
 
+// laneMemIO builds one lane's behavioural memories over its lane of the
+// backend.
 func (b *BatchSystem) laneMemIO(lane int) memIO {
+	m := b.D.Map
 	return memIO{
 		d:   b.D,
-		rom: b.rom[lane],
-		ram: b.ram[lane],
+		rom: sim.NewTaintMem(m.ROMStart, int(m.ROMEnd)-int(m.ROMStart)),
+		ram: sim.NewTaintMem(m.RAMStart, int(m.RAMEnd)-int(m.RAMStart)),
 		get: func(nets []netlist.NetID) sim.Word { return b.B.GetLaneWord(lane, nets) },
-		logf: func(format string, args ...interface{}) {
-			b.events[lane] = append(b.events[lane], fmt.Sprintf("cycle %d: ", b.Cycle)+fmt.Sprintf(format, args...))
-		},
+		// Batched lanes keep no unusual-access log: fault campaigns report
+		// only cycle counts and errors.
+		logf: func(string, ...interface{}) {},
 	}
 }
-
-// Lanes returns the configured lane count.
-func (b *BatchSystem) Lanes() int { return b.lanes }
-
-// LaneMask returns the mask with every configured lane set.
-func (b *BatchSystem) LaneMask() uint64 { return b.B.LaneMask() }
 
 // LaneROM returns one lane's program memory, for per-lane image placement
 // and fault corruption.
-func (b *BatchSystem) LaneROM(lane int) *sim.TaintMem { return b.rom[lane] }
-
-// LaneRAM returns one lane's data memory.
-func (b *BatchSystem) LaneRAM(lane int) *sim.TaintMem { return b.ram[lane] }
-
-// ShareROM points every lane at the same program memory, for workloads
-// where all lanes run one image (lane-packed speculation). The caller must
-// not mutate it while lanes are running.
-func (b *BatchSystem) ShareROM(rom *sim.TaintMem) {
-	for lane := 0; lane < b.lanes; lane++ {
-		b.rom[lane] = rom
-		b.mem[lane].rom = rom
-	}
-}
+func (b *BatchSystem) LaneROM(lane int) *sim.TaintMem { return b.mem[lane].rom }
 
 // SetLanePortIn presents a value on one lane's input port i. The value
 // persists across cycles (and power-on) until changed.
 func (b *BatchSystem) SetLanePortIn(lane, i int, w sim.Word) {
 	b.portIn[lane][i] = w
 	b.portsApplied = false
-}
-
-// SetLaneRst drives one lane's external reset on subsequent cycles.
-func (b *BatchSystem) SetLaneRst(lane int, sig logic.Sig) { b.rst[lane] = sig }
-
-// LaneEvents drains one lane's unusual-access log.
-func (b *BatchSystem) LaneEvents(lane int) []string {
-	e := b.events[lane]
-	b.events[lane] = nil
-	return e
-}
-
-// LaneWord assembles a probe word from one lane (valid after EvalCycle).
-func (b *BatchSystem) LaneWord(lane int, nets []netlist.NetID) sim.Word {
-	return b.B.GetLaneWord(lane, nets)
-}
-
-// LaneSig reads one net on one lane (valid after EvalCycle).
-func (b *BatchSystem) LaneSig(lane int, id netlist.NetID) logic.Sig {
-	return b.B.GetLane(lane, id)
 }
 
 // applyPorts drives every lane's port-input nets. Port inputs are
@@ -157,7 +111,7 @@ func (b *BatchSystem) EvalCycle(active uint64) []CycleInfo {
 		}
 	}
 	forActive(func(lane int) {
-		b.B.SetLane(lane, b.D.Rst, b.rst[lane])
+		b.B.SetLane(lane, b.D.Rst, b.rst)
 	})
 	b.applyPorts()
 
@@ -207,8 +161,7 @@ func (b *BatchSystem) EvalCycle(active uint64) []CycleInfo {
 }
 
 // CommitLanes applies the evaluated cycle on every lane in active: per-lane
-// data-memory stores, then one shared clock edge (only active lanes accrue
-// toggle counts) and the cycle counter.
+// data-memory stores, then one shared clock edge and the cycle counter.
 func (b *BatchSystem) CommitLanes(active uint64, cis []CycleInfo) {
 	for m := active & b.B.LaneMask(); m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros64(m)
@@ -216,7 +169,6 @@ func (b *BatchSystem) CommitLanes(active uint64, cis []CycleInfo) {
 			b.mem[lane].commitStore(&cis[lane])
 		}
 	}
-	b.B.SetActive(active)
 	b.B.Clock()
 	b.Cycle++
 }
@@ -228,45 +180,8 @@ func (b *BatchSystem) PowerOn() {
 	b.B.InitX()
 	b.portsApplied = false
 	all := b.B.LaneMask()
-	for lane := 0; lane < b.lanes; lane++ {
-		b.rst[lane] = logic.One0
-	}
+	b.rst = logic.One0
 	cis := b.EvalCycle(all)
 	b.CommitLanes(all, cis)
-	for lane := 0; lane < b.lanes; lane++ {
-		b.rst[lane] = logic.Zero0
-	}
+	b.rst = logic.Zero0
 }
-
-// SnapshotLane captures one lane's machine state (flip-flops + data
-// memory), interchangeable with System snapshots.
-func (b *BatchSystem) SnapshotLane(lane int) *Snapshot {
-	return &Snapshot{DFF: b.B.LaneDFFState(lane), RAM: b.ram[lane].Snapshot()}
-}
-
-// RestoreLane reinstates a snapshot into one lane. The next EvalCycle
-// re-settles the combinational logic.
-func (b *BatchSystem) RestoreLane(lane int, sn *Snapshot) {
-	b.B.RestoreLaneDFFState(lane, sn.DFF)
-	b.ram[lane].Restore(sn.RAM)
-}
-
-// LaneView adapts one lane to the scalar probe interface (Design, GetWord,
-// GetSig) shared with *System, so per-cycle policy checks run unchanged on
-// batched lanes.
-type LaneView struct {
-	b    *BatchSystem
-	lane int
-}
-
-// Lane returns the scalar probe view of one lane.
-func (b *BatchSystem) Lane(lane int) LaneView { return LaneView{b: b, lane: lane} }
-
-// Design returns the shared machine design.
-func (v LaneView) Design() *Design { return v.b.D }
-
-// GetWord assembles a probe word from the lane (valid after EvalCycle).
-func (v LaneView) GetWord(nets []netlist.NetID) sim.Word { return v.b.B.GetLaneWord(v.lane, nets) }
-
-// GetSig reads one net on the lane (valid after EvalCycle).
-func (v LaneView) GetSig(id netlist.NetID) logic.Sig { return v.b.B.GetLane(v.lane, id) }

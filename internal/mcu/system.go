@@ -154,9 +154,6 @@ func (s *System) GetWord(w []netlist.NetID) sim.Word { return s.getWord(w) }
 // GetSig exposes one net's current signal (after EvalCycle).
 func (s *System) GetSig(id netlist.NetID) logic.Sig { return s.C.Get(id) }
 
-// Design returns the machine's design, shared with batched lane views.
-func (s *System) Design() *Design { return s.D }
-
 // readMMIO returns the word visible at a peripheral address, if any.
 func (s *System) readMMIO(addr uint16) (sim.Word, bool) { return s.mem.readMMIO(addr) }
 

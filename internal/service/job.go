@@ -141,16 +141,15 @@ type OptionsRequest struct {
 	// participate in the job's cache key.
 	Workers int `json:"workers,omitempty"`
 	// Backend selects the gate-evaluation backend for this job by its
-	// registered name — "compiled", "interp", or "bitslice" (empty: the
-	// server's Config.EngineBackend, then the compiled default). Reports
-	// are byte-identical across backends, so like Workers this field does
-	// not participate in the job's cache key.
-	Backend string `json:"backend,omitempty"`
-	// SpecLanes packs up to N queued exploration paths per speculation
-	// worker onto bitsliced lanes (0 or 1: scalar speculation, max 64;
-	// 0 falls back to the server's Config.EngineSpecLanes). Like Workers
-	// it only changes wall time, never the report, so it does not
+	// registered name — "compiled" or "interp" (empty: the server's
+	// Config.EngineBackend, then the compiled default). Reports are
+	// byte-identical across backends, so like Workers this field does not
 	// participate in the job's cache key.
+	Backend string `json:"backend,omitempty"`
+	// SpecLanes is accepted and ignored for one release, then removed.
+	// The engine has no lane-packed speculation any more, but the request
+	// decoder rejects unknown fields, so dropping the field at once would
+	// fail clients that still send it. It was never part of the job key.
 	SpecLanes int `json:"spec_lanes,omitempty"`
 	// StreamTrace opts this job into engine trace streaming: every N-th
 	// exploration event (1: all of them) is published as a `trace` event
@@ -187,10 +186,10 @@ type RepairRequest struct {
 type JobRequest struct {
 	// Target selects the processor target by registered name (empty:
 	// msp430, preserving the pre-target schema). Unlike the wall-time
-	// knobs (workers/backend/spec_lanes), the target changes the analyzed
-	// system, so it IS part of the content-addressed job key: identical
-	// programs submitted against different targets never coalesce and
-	// never share cache entries.
+	// knobs (workers/backend), the target changes the analyzed system, so
+	// it IS part of the content-addressed job key: identical programs
+	// submitted against different targets never coalesce and never share
+	// cache entries.
 	Target string `json:"target,omitempty"`
 	// Source is assembly text for the selected target's assembler.
 	Source string `json:"source,omitempty"`
@@ -307,16 +306,12 @@ func compileOptions(or *OptionsRequest) (*glift.Options, time.Duration, error) {
 		HardMemBytes:  or.HardMemBytes,
 		Workers:       or.Workers,
 		Backend:       backend,
-		SpecLanes:     or.SpecLanes,
 	}
 	if or.DeadlineMS < 0 {
 		return nil, 0, fmt.Errorf("negative deadline_ms")
 	}
 	if or.Workers < 0 {
 		return nil, 0, fmt.Errorf("negative workers")
-	}
-	if or.SpecLanes < 0 {
-		return nil, 0, fmt.Errorf("negative spec_lanes")
 	}
 	if or.StreamTrace < 0 {
 		return nil, 0, fmt.Errorf("negative stream_trace")

@@ -74,11 +74,6 @@ type promMetrics struct {
 	engSteals     *obs.Counter
 	engSpecUsed   *obs.Counter
 	engSpecWasted *obs.Counter
-
-	engLaneBatches *obs.Counter
-	engLanesPacked *obs.Counter
-	engLanesWasted *obs.Counter
-	engLaneOccup   *obs.Gauge
 }
 
 func newPromMetrics(workers int) *promMetrics {
@@ -177,14 +172,6 @@ func newPromMetrics(workers int) *promMetrics {
 			"Speculated traces replayed by the committer."),
 		engSpecWasted: reg.Counter("glift_engine_spec_wasted_total",
 			"Speculated segments discarded before use."),
-		engLaneBatches: reg.Counter("glift_engine_lane_batches_total",
-			"Bitsliced speculation batches evaluated (one batch packs up to spec-lanes paths)."),
-		engLanesPacked: reg.Counter("glift_engine_lanes_packed_total",
-			"Path states packed onto bitsliced speculation lanes."),
-		engLanesWasted: reg.Counter("glift_engine_lanes_wasted_total",
-			"Bitsliced speculation lanes left idle because fewer paths were queued than lanes available."),
-		engLaneOccup: reg.Gauge("glift_engine_lane_occupancy",
-			"Fraction of available bitsliced speculation lanes carrying a path over the most recent progress interval (0 when scalar)."),
 	}
 	m.workers.Set(float64(workers))
 	return m
@@ -237,13 +224,6 @@ func (ep *engineProgress) observe(p glift.Progress) {
 	m.engSteals.Add(counterDelta(sc.Steals, ep.prevSched.Steals))
 	m.engSpecUsed.Add(counterDelta(sc.SpecUsed, ep.prevSched.SpecUsed))
 	m.engSpecWasted.Add(counterDelta(sc.SpecWasted, ep.prevSched.SpecWasted))
-	m.engLaneBatches.Add(counterDelta(sc.LaneBatches, ep.prevSched.LaneBatches))
-	m.engLanesPacked.Add(counterDelta(sc.LanesPacked, ep.prevSched.LanesPacked))
-	m.engLanesWasted.Add(counterDelta(sc.LanesWasted, ep.prevSched.LanesWasted))
-	if db := sc.LaneBatches - ep.prevSched.LaneBatches; db > 0 && sc.SpecLanes > 1 {
-		dp := sc.LanesPacked - ep.prevSched.LanesPacked
-		m.engLaneOccup.Set(float64(dp) / float64(db*uint64(sc.SpecLanes)))
-	}
 	ep.prevSched = sc
 
 	if p.Done {

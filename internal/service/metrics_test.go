@@ -74,6 +74,10 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 			t.Errorf("/metrics missing %q", series)
 		}
 	}
+	// The engine has no lane-packed speculation, so no lane series.
+	if strings.Contains(body, "glift_engine_lane") {
+		t.Errorf("/metrics exposes a glift_engine_lane series")
+	}
 	// Both completed runs released their table states.
 	if !strings.Contains(body, "glift_engine_table_states 0") {
 		t.Errorf("table-states gauge not drained after completion")
@@ -121,13 +125,9 @@ func TestEngineProgressNonMonotonic(t *testing.T) {
 
 	grow := glift.Progress{
 		Stats: glift.Stats{Cycles: 1000, Paths: 10, Forks: 5, WallNanos: 100},
-		Sched: glift.SchedStats{Workers: 3, Busy: 2, DequeDepth: 4, Steals: 7, SpecUsed: 5, SpecWasted: 1,
-			SpecLanes: 8, LaneBatches: 4, LanesPacked: 24, LanesWasted: 8},
+		Sched: glift.SchedStats{Workers: 3, Busy: 2, DequeDepth: 4, Steals: 7, SpecUsed: 5, SpecWasted: 1},
 	}
 	ep.observe(grow)
-	if v := m.engLaneOccup.Value(); v != 24.0/(4*8) {
-		t.Errorf("lane-occupancy gauge = %v, want %v", v, 24.0/(4*8))
-	}
 
 	// A regressed snapshot: every cumulative field below its predecessor.
 	defer func() {

@@ -113,9 +113,9 @@ func (s *Server) repairKey(spec *repair.Spec, opt *glift.Options, deadline time.
 	put(spec.Partition.Size)
 	put(int64(spec.MaxRounds))
 	put(spec.TaskCycles)
-	// Workers/Backend/SpecLanes are byte-identical by the differential
-	// contract (the repair differential suite sweeps them), so like jobKey
-	// they stay out of the key.
+	// Workers/Backend are byte-identical by the differential contract (the
+	// repair differential suite sweeps them), so like jobKey they stay out
+	// of the key.
 	n := opt.Normalized()
 	put(n.MaxCycles)
 	put(n.MaxPathCycles)
@@ -149,9 +149,6 @@ func (s *Server) runRepairJob(j *job) {
 	}
 	if !j.backendSet {
 		opt.Backend = s.cfg.EngineBackend
-	}
-	if opt.SpecLanes == 0 {
-		opt.SpecLanes = s.cfg.EngineSpecLanes
 	}
 	if j.streamTrace > 0 {
 		opt.Tracer = s.traceSampler(j, j.streamTrace)

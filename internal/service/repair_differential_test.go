@@ -7,7 +7,7 @@ package service
 // stats. Both paths execute repair.Run (the shared round loop), so what
 // this suite actually pins is everything the daemon wraps around it:
 // request compilation, option plumbing, the JSON round-trip, and the
-// performance knobs (workers, backend, spec-lanes) whose exclusion from the
+// performance knobs (workers, backend) whose exclusion from the
 // repair cache key is sound only if they can never change a byte of the
 // result.
 
@@ -141,11 +141,10 @@ func TestRepairDifferentialAllBenchmarks(t *testing.T) {
 }
 
 // TestRepairDifferentialKnobSweep sweeps the engine's performance knobs —
-// workers × backend × spec-lanes — on two branchy benchmarks (data-
-// dependent control flow forks the exploration, the hard case for engine
-// determinism). Every configuration must reproduce the reference payload
-// byte-identically; this is the guarantee that lets the repair cache key
-// exclude all three knobs.
+// workers × backend — on two branchy benchmarks (data-dependent control
+// flow forks the exploration, the hard case for engine determinism). Every
+// configuration must reproduce the reference payload byte-identically; this
+// is the guarantee that lets the repair cache key exclude both knobs.
 func TestRepairDifferentialKnobSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repair differential sweep skipped in -short mode")
@@ -154,9 +153,6 @@ func TestRepairDifferentialKnobSweep(t *testing.T) {
 		{Workers: 4, Backend: "interp"},
 		{Workers: 1, Backend: "compiled"},
 		{Workers: 4, Backend: "compiled"},
-		{Workers: 1, Backend: "bitslice"},
-		{Workers: 4, Backend: "compiled", SpecLanes: 8},
-		{Workers: 2, Backend: "bitslice", SpecLanes: 4},
 	}
 	for _, name := range []string{"binSearch", "tHold"} {
 		name := name
@@ -168,7 +164,7 @@ func TestRepairDifferentialKnobSweep(t *testing.T) {
 			}
 			ref := runReference(t, b)
 			for _, opt := range configs {
-				label := fmt.Sprintf("%s/w%d/l%d", opt.Backend, opt.Workers, opt.SpecLanes)
+				label := fmt.Sprintf("%s/w%d", opt.Backend, opt.Workers)
 				diffRepair(t, b, ref, opt, label)
 			}
 		})

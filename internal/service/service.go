@@ -64,12 +64,6 @@ type Config struct {
 	// by the differential contract — so it participates in neither job
 	// keys nor caching.
 	EngineBackend sim.BackendKind
-	// EngineSpecLanes is the bitsliced speculation lane count per engine
-	// worker applied to jobs that do not request one (0 or 1: scalar
-	// speculation, max 64). Like EngineWorkers and EngineBackend it only
-	// changes wall time, never results, so it participates in neither job
-	// keys nor caching.
-	EngineSpecLanes int
 
 	// StoreDir enables the crash-safe persistent result store: completed
 	// Verified/Violations reports are fsynced there before the submitter is
@@ -348,7 +342,7 @@ func (s *Server) designFor(tgt *target.Target) (*mcu.Design, [sha256.Size]byte) 
 // guaranteed to produce the same completed report, which is what makes
 // cache reuse and in-flight coalescing sound — and why the target, which
 // selects the analyzed system itself, participates in the key while the
-// wall-time knobs (Workers/Backend/SpecLanes) do not.
+// wall-time knobs (Workers/Backend) do not.
 func (s *Server) jobKey(tgt *target.Target, img *asm.Image, pol *glift.Policy, opt *glift.Options, deadline time.Duration) string {
 	_, fp := s.designFor(tgt)
 	h := sha256.New()
@@ -428,9 +422,6 @@ func (s *Server) runJob(j *job) {
 	}
 	if !j.backendSet {
 		opt.Backend = s.cfg.EngineBackend
-	}
-	if opt.SpecLanes == 0 {
-		opt.SpecLanes = s.cfg.EngineSpecLanes
 	}
 	opt.Progress = (&engineProgress{m: s.prom, next: func(p glift.Progress) {
 		j.setProgress(p)

@@ -60,11 +60,6 @@ const (
 	// BackendInterp is the reference interpreter: a full sweep of the
 	// levelized gate list through a per-gate switch on every Eval.
 	BackendInterp
-	// BackendBitslice evaluates the netlist as three uint64 bit-planes per
-	// net (64 lanes per word op, all lanes broadcast-identical behind the
-	// scalar Backend interface); see bitslice.go and BatchBackend for the
-	// per-lane batched form.
-	BackendBitslice
 )
 
 // backendRegistry is the single source of backend names: every CLI flag,
@@ -78,7 +73,6 @@ var backendRegistry = []struct {
 }{
 	{BackendCompiled, "compiled", func(nl *netlist.Netlist) (Backend, error) { return newCompiled(nl) }},
 	{BackendInterp, "interp", func(nl *netlist.Netlist) (Backend, error) { return newInterp(nl) }},
-	{BackendBitslice, "bitslice", func(nl *netlist.Netlist) (Backend, error) { return newBitslice(nl) }},
 }
 
 // String returns the parseable name of the backend kind.
@@ -99,6 +93,13 @@ func BackendNames() []string {
 		names[i] = e.name
 	}
 	return names
+}
+
+// FlagHelp is the shared -backend flag usage string: the registered backend
+// names, with the registry's first entry marked as the default.
+func FlagHelp() string {
+	names := BackendNames()
+	return "gate-evaluation backend: " + names[0] + " (default), " + strings.Join(names[1:], ", ")
 }
 
 // ParseBackend resolves a backend name from the registry: empty selects the

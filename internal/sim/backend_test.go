@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/logic"
@@ -222,7 +223,12 @@ func TestParseBackend(t *testing.T) {
 	if k, err := ParseBackend("interpreter"); err != nil || k != BackendInterp {
 		t.Fatalf("ParseBackend(\"interpreter\") = %v, %v", k, err)
 	}
-	if _, err := ParseBackend("jit"); err == nil {
-		t.Fatal("ParseBackend(\"jit\") should fail")
+	// Unknown names, the retired "bitslice" included, error with the
+	// valid set.
+	for _, name := range []string{"jit", "bitslice"} {
+		_, err := ParseBackend(name)
+		if err == nil || !strings.Contains(err.Error(), "compiled, interp") {
+			t.Fatalf("ParseBackend(%q) = %v; want an error listing compiled, interp", name, err)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -13,8 +12,16 @@ import (
 // gate across up to 64 independent analysis contexts at once.
 const BatchLanes = 64
 
-// bitslice is the bitsliced evaluation backend. Each net carries three
-// uint64 planes, where bit i of each word is lane i's state:
+// BatchBackend evaluates one netlist across up to 64 independent lanes in
+// lockstep: lane i of every plane word is its own machine context with its
+// own inputs and flip-flop state. One Eval/Clock advances every lane at
+// once, which is what the batched fault campaign (internal/fault, through
+// mcu.BatchSystem) builds on. The per-lane protocol is the scalar Circuit
+// protocol per lane: SetLane, Eval, GetLane, Clock. Lanes the host stops
+// reading keep evaluating; their words ride along for free.
+//
+// Each net carries three uint64 planes, where bit i of each word is lane
+// i's state:
 //
 //	L ("can be 0")  H ("can be 1")  T (taint)
 //	0:  L=1 H=0         1:  L=0 H=1         X:  L=1 H=1
@@ -25,29 +32,15 @@ const BatchLanes = 64
 // logic.Eval LUTs — bitslice_test.go proves this exhaustively over every
 // valid input combination of every op.
 //
-// Scheduling mirrors the compiled backend one-for-one: the netlist is
-// lowered once into a flat level-ordered instruction stream with a CSR
-// fanout adjacency, and Eval drains per-level dirty worklists seeded by
-// changed nets, with whole-plane word compares as the change detector. The
-// forced-net overlay generalizes to per-lane masks (fMask/fL/fH/fT): a
-// fully masked force skips the driver like the scalar backends, a partial
-// mask merges the forced lanes over the computed ones.
-//
-// The same core backs two front ends: the 64-lane-broadcast scalar Backend
-// registered as "bitslice" (all lanes identical; a shadow array mirrors
-// lane 0 as packed signals to satisfy the Circuit wrapper's dense reads),
-// and the per-lane BatchBackend API in batch.go.
-type bitslice struct {
+// The netlist is lowered once into a flat level-ordered instruction stream
+// with a CSR fanout adjacency, and Eval drains per-level dirty worklists
+// seeded by changed nets, with whole-plane word compares as the change
+// detector.
+type BatchBackend struct {
 	nl       *netlist.Netlist
-	lanes    int
 	laneMask uint64
 
 	pl, ph, pt []uint64 // per-net planes: can-be-0, can-be-1, taint
-
-	// shadow, when non-nil, mirrors lane 0 of every net as a packed
-	// signal — the dense array the Circuit wrapper reads directly. Only
-	// the broadcast Backend front end maintains it.
-	shadow []logic.Packed
 
 	tmpL, tmpH, tmpT []uint64 // scratch for DFF next-state planes
 	rstOne           []bool   // per-DFF reset value is One
@@ -60,81 +53,47 @@ type bitslice struct {
 	out    []int32
 	ilevel []int32
 
-	fanIdx    []int32 // CSR: net -> consuming instruction positions
-	fan       []int32
-	driverPos []int32 // net -> driving instruction position, or -1
+	fanIdx []int32 // CSR: net -> consuming instruction positions
+	fan    []int32
 
-	// Dirty-worklist state, as in the compiled backend.
-	epoch      uint64
-	queuedEp   []uint64 // per instruction: enqueued at this epoch
-	forcedEp   []uint64 // per net: forced at this epoch
-	buckets    [][]int32
-	pending    []netlist.NetID // nets changed since the last Eval
-	prevForced []netlist.NetID // nets forced by the previous Eval
-	needFull   bool
-
-	// Per-lane force overlay, stamped by forcedEp.
-	fMask, fL, fH, fT []uint64
-
-	// Per-lane machinery used by the BatchBackend front end.
-	active     uint64      // lanes whose DFF toggles are counted
-	countLanes bool        // maintain per-lane toggle counters
-	toggles    []uint64    // per-lane accumulated DFF value transitions
-	forces     []laneForce // staged per-lane forces for the next Eval
-	forceIx    map[netlist.NetID]int32
+	// Dirty-worklist state: queuedEp stamps an instruction enqueued in the
+	// Eval numbered epoch.
+	epoch    uint64
+	queuedEp []uint64
+	buckets  [][]int32
+	pending  []netlist.NetID // nets changed since the last Eval
+	needFull bool
 }
 
-// laneForce is one net's per-lane force for a single Eval: the masked lanes
-// take the given plane bits, the rest keep their driver.
-type laneForce struct {
-	id      netlist.NetID
-	mask    uint64
-	l, h, t uint64
-}
-
-func newBitsliceCore(nl *netlist.Netlist, lanes int, shadow bool) (*bitslice, error) {
+// NewBatchBackend constructs a batch evaluator with the given lane count
+// (1..BatchLanes). All lanes start at untainted X (InitX applied).
+func NewBatchBackend(nl *netlist.Netlist, lanes int) (*BatchBackend, error) {
 	if lanes < 1 || lanes > BatchLanes {
-		return nil, fmt.Errorf("sim: bitslice lanes %d out of range [1,%d]", lanes, BatchLanes)
+		return nil, fmt.Errorf("sim: batch lanes %d out of range [1,%d]", lanes, BatchLanes)
 	}
 	lv, err := nl.Levelize()
 	if err != nil {
 		return nil, err
 	}
 	ng, nn := len(nl.Gates), nl.NumNets()
-	c := &bitslice{
-		nl:        nl,
-		lanes:     lanes,
-		laneMask:  ^uint64(0) >> (BatchLanes - lanes),
-		pl:        make([]uint64, nn),
-		ph:        make([]uint64, nn),
-		pt:        make([]uint64, nn),
-		tmpL:      make([]uint64, len(nl.DFFs)),
-		tmpH:      make([]uint64, len(nl.DFFs)),
-		tmpT:      make([]uint64, len(nl.DFFs)),
-		rstOne:    make([]bool, len(nl.DFFs)),
-		op:        make([]uint8, ng),
-		in0:       make([]int32, ng),
-		in1:       make([]int32, ng),
-		in2:       make([]int32, ng),
-		out:       make([]int32, ng),
-		ilevel:    make([]int32, ng),
-		driverPos: make([]int32, nn),
-		queuedEp:  make([]uint64, ng),
-		forcedEp:  make([]uint64, nn),
-		buckets:   make([][]int32, lv.NumLevels()),
-		fMask:     make([]uint64, nn),
-		fL:        make([]uint64, nn),
-		fH:        make([]uint64, nn),
-		fT:        make([]uint64, nn),
-		needFull:  true,
-		forceIx:   make(map[netlist.NetID]int32),
-	}
-	c.active = c.laneMask
-	if shadow {
-		c.shadow = make([]logic.Packed, nn)
-	} else {
-		c.countLanes = true
-		c.toggles = make([]uint64, BatchLanes)
+	c := &BatchBackend{
+		nl:       nl,
+		laneMask: ^uint64(0) >> (BatchLanes - lanes),
+		pl:       make([]uint64, nn),
+		ph:       make([]uint64, nn),
+		pt:       make([]uint64, nn),
+		tmpL:     make([]uint64, len(nl.DFFs)),
+		tmpH:     make([]uint64, len(nl.DFFs)),
+		tmpT:     make([]uint64, len(nl.DFFs)),
+		rstOne:   make([]bool, len(nl.DFFs)),
+		op:       make([]uint8, ng),
+		in0:      make([]int32, ng),
+		in1:      make([]int32, ng),
+		in2:      make([]int32, ng),
+		out:      make([]int32, ng),
+		ilevel:   make([]int32, ng),
+		queuedEp: make([]uint64, ng),
+		buckets:  make([][]int32, lv.NumLevels()),
 	}
 	for i, d := range nl.DFFs {
 		c.rstOne[i] = d.RstVal == logic.One
@@ -166,194 +125,55 @@ func newBitsliceCore(nl *netlist.Netlist, lanes int, shadow bool) (*bitslice, er
 		for i, gi := range lv.NetFanout(netlist.NetID(id)) {
 			dst[i] = pos[gi]
 		}
-		if g := lv.DriverGate[id]; g >= 0 {
-			c.driverPos[id] = pos[g]
-		} else {
-			c.driverPos[id] = -1
-		}
 	}
+	c.InitX()
 	return c, nil
 }
 
-// newBitslice constructs the broadcast Backend front end: 64 identical
-// lanes behind the scalar interface.
-func newBitslice(nl *netlist.Netlist) (*bitslice, error) {
-	return newBitsliceCore(nl, BatchLanes, true)
-}
-
-// sigPlanes broadcasts one signal to full-width planes.
-func sigPlanes(s logic.Sig) (l, h, t uint64) {
-	switch s.V {
-	case logic.Zero:
-		l = ^uint64(0)
-	case logic.One:
-		h = ^uint64(0)
-	default:
-		l, h = ^uint64(0), ^uint64(0)
-	}
-	if s.T {
-		t = ^uint64(0)
-	}
-	return
-}
-
-// packLane0 reads lane 0 of a net back as a packed signal.
-func (c *bitslice) packLane0(id netlist.NetID) logic.Packed {
-	l, h, t := c.pl[id]&1, c.ph[id]&1, c.pt[id]&1
-	v := (h &^ l) | (l&h)<<1
-	return logic.Packed(v | t<<2)
-}
-
-// laneSig reads one lane of a net.
-func (c *bitslice) laneSig(id netlist.NetID, lane int) logic.Sig {
-	l := c.pl[id] >> lane & 1
-	h := c.ph[id] >> lane & 1
-	t := c.pt[id] >> lane & 1
-	var v logic.V
-	switch {
-	case l&h != 0:
-		v = logic.X
-	case h != 0:
-		v = logic.One
-	default:
-		v = logic.Zero
-	}
-	return logic.Sig{V: v, T: t != 0}
-}
-
-// setPlanes writes a net's planes, maintaining the shadow array and the
-// pending worklist exactly like the compiled backend's Set.
-func (c *bitslice) setPlanes(id netlist.NetID, l, h, t uint64) {
+// setPlanes writes a net's planes and records the change for the next
+// incremental Eval.
+func (c *BatchBackend) setPlanes(id netlist.NetID, l, h, t uint64) {
 	if c.pl[id] == l && c.ph[id] == h && c.pt[id] == t {
 		return
 	}
 	c.pl[id], c.ph[id], c.pt[id] = l, h, t
-	if c.shadow != nil {
-		c.shadow[id] = c.packLane0(id)
-	}
 	if !c.needFull {
 		c.pending = append(c.pending, id)
 	}
 }
 
-// setLane writes one lane of a net, leaving the others untouched.
-func (c *bitslice) setLane(id netlist.NetID, lane int, s logic.Sig) {
-	bit := uint64(1) << lane
-	l, h, t := c.pl[id]&^bit, c.ph[id]&^bit, c.pt[id]&^bit
-	switch s.V {
-	case logic.Zero:
-		l |= bit
-	case logic.One:
-		h |= bit
-	default:
-		l |= bit
-		h |= bit
-	}
-	if s.T {
-		t |= bit
-	}
-	c.setPlanes(id, l, h, t)
-}
-
-func (c *bitslice) vals() []logic.Packed { return c.shadow }
-
-func (c *bitslice) Get(id netlist.NetID) logic.Packed {
-	if c.shadow != nil {
-		return c.shadow[id]
-	}
-	return c.packLane0(id)
-}
-
-func (c *bitslice) Set(id netlist.NetID, p logic.Packed) {
-	l, h, t := sigPlanes(logic.Unpack(p))
-	c.setPlanes(id, l, h, t)
-}
-
-func (c *bitslice) InitX() {
+// InitX resets every lane of every net to untainted X (constants excepted).
+// The next Eval runs a full sweep.
+func (c *BatchBackend) InitX() {
 	for i := range c.pl {
 		c.pl[i], c.ph[i], c.pt[i] = ^uint64(0), ^uint64(0), 0
 	}
 	c0, c1 := c.nl.Const0(), c.nl.Const1()
 	c.pl[c0], c.ph[c0] = ^uint64(0), 0
 	c.pl[c1], c.ph[c1] = 0, ^uint64(0)
-	if c.shadow != nil {
-		xp := logic.Pack(logic.X0)
-		for i := range c.shadow {
-			c.shadow[i] = xp
-		}
-		c.shadow[c0] = logic.Pack(logic.Zero0)
-		c.shadow[c1] = logic.Pack(logic.One0)
-	}
 	c.pending = c.pending[:0]
 	c.needFull = true
 }
 
-// Eval implements the scalar Backend protocol: every forced net applies to
-// all lanes.
-func (c *bitslice) Eval(forced map[netlist.NetID]logic.Sig) {
-	c.forces = c.forces[:0]
-	for id, s := range forced {
-		l, h, t := sigPlanes(s)
-		c.forces = append(c.forces, laneForce{id: id, mask: ^uint64(0), l: l, h: h, t: t})
-	}
-	c.evalForces(c.forces)
-	c.forces = c.forces[:0]
-}
-
-// evalForces is the shared Eval core for both front ends.
-func (c *bitslice) evalForces(forces []laneForce) {
-	c.epoch++
-	ep := c.epoch
-	for i := range forces {
-		f := &forces[i]
-		id := f.id
-		c.forcedEp[id] = ep
-		c.fMask[id] = f.mask
-		c.fL[id], c.fH[id], c.fT[id] = f.l&f.mask, f.h&f.mask, f.t&f.mask
-		c.setPlanes(id,
-			c.pl[id]&^f.mask|c.fL[id],
-			c.ph[id]&^f.mask|c.fH[id],
-			c.pt[id]&^f.mask|c.fT[id])
-	}
+// Eval propagates values through the combinational logic of every lane.
+func (c *BatchBackend) Eval() {
 	if c.needFull {
-		c.fullSweep(ep)
+		c.fullSweep()
 		c.needFull = false
 		c.pending = c.pending[:0]
-	} else {
-		// A net forced last Eval but not this one reverts to whatever its
-		// combinational driver computes (sourceless nets — inputs, DFF
-		// outputs — simply hold their value, like in the scalar backends).
-		for _, id := range c.prevForced {
-			if c.forcedEp[id] != ep {
-				if dp := c.driverPos[id]; dp >= 0 {
-					c.enqueue(dp, ep)
-				}
-			}
-		}
-		// A partially masked force leaves its unforced lanes to the
-		// driver: re-evaluate it even when no input changed, in case the
-		// previous Eval forced different lanes of the same net.
-		for i := range forces {
-			if forces[i].mask&c.laneMask != c.laneMask {
-				if dp := c.driverPos[forces[i].id]; dp >= 0 {
-					c.enqueue(dp, ep)
-				}
-			}
-		}
-		for _, id := range c.pending {
-			c.seed(id, ep)
-		}
-		c.pending = c.pending[:0]
-		c.drain(ep)
+		return
 	}
-	c.prevForced = c.prevForced[:0]
-	for i := range forces {
-		c.prevForced = append(c.prevForced, forces[i].id)
+	c.epoch++
+	ep := c.epoch
+	for _, id := range c.pending {
+		c.seed(id, ep)
 	}
+	c.pending = c.pending[:0]
+	c.drain(ep)
 }
 
 // enqueue marks one instruction dirty, once per epoch.
-func (c *bitslice) enqueue(p int32, ep uint64) {
+func (c *BatchBackend) enqueue(p int32, ep uint64) {
 	if c.queuedEp[p] != ep {
 		c.queuedEp[p] = ep
 		l := c.ilevel[p]
@@ -362,7 +182,7 @@ func (c *bitslice) enqueue(p int32, ep uint64) {
 }
 
 // seed marks every consumer of a changed net dirty.
-func (c *bitslice) seed(id netlist.NetID, ep uint64) {
+func (c *BatchBackend) seed(id netlist.NetID, ep uint64) {
 	for _, p := range c.fan[c.fanIdx[id]:c.fanIdx[id+1]] {
 		c.enqueue(p, ep)
 	}
@@ -370,60 +190,29 @@ func (c *bitslice) seed(id netlist.NetID, ep uint64) {
 
 // drain evaluates the dirty instructions level by level; consumers always
 // sit at strictly higher levels, so each bucket is complete when reached.
-func (c *bitslice) drain(ep uint64) {
-	for l := range c.buckets {
-		b := c.buckets[l]
+// An instruction propagates only when its output planes actually change.
+func (c *BatchBackend) drain(ep uint64) {
+	for lvl := range c.buckets {
+		b := c.buckets[lvl]
 		for i := 0; i < len(b); i++ {
-			c.step(b[i], ep)
+			p := b[i]
+			o := c.out[p]
+			l, h, t := c.evalGate(p)
+			if l != c.pl[o] || h != c.ph[o] || t != c.pt[o] {
+				c.pl[o], c.ph[o], c.pt[o] = l, h, t
+				c.seed(netlist.NetID(o), ep)
+			}
 		}
-		c.buckets[l] = b[:0]
-	}
-}
-
-// step re-evaluates one dirty instruction, merges any per-lane force over
-// the computed planes, and propagates on actual change.
-func (c *bitslice) step(p int32, ep uint64) {
-	o := c.out[p]
-	forced := c.forcedEp[o] == ep
-	if forced && c.fMask[o]&c.laneMask == c.laneMask {
-		return // every lane forced: the overlay value wins this Eval
-	}
-	l, h, t := c.evalGate(p)
-	if forced {
-		m := c.fMask[o]
-		l = l&^m | c.fL[o]
-		h = h&^m | c.fH[o]
-		t = t&^m | c.fT[o]
-	}
-	if l != c.pl[o] || h != c.ph[o] || t != c.pt[o] {
-		c.pl[o], c.ph[o], c.pt[o] = l, h, t
-		if c.shadow != nil {
-			c.shadow[o] = c.packLane0(netlist.NetID(o))
-		}
-		c.seed(netlist.NetID(o), ep)
+		c.buckets[lvl] = b[:0]
 	}
 }
 
 // fullSweep evaluates the whole stream in level order, used for the first
-// Eval and after InitX / DFF-state restores.
-func (c *bitslice) fullSweep(ep uint64) {
+// Eval and after InitX.
+func (c *BatchBackend) fullSweep() {
 	for p := range c.op {
 		o := c.out[p]
-		forced := c.forcedEp[o] == ep
-		if forced && c.fMask[o]&c.laneMask == c.laneMask {
-			continue
-		}
-		l, h, t := c.evalGate(int32(p))
-		if forced {
-			m := c.fMask[o]
-			l = l&^m | c.fL[o]
-			h = h&^m | c.fH[o]
-			t = t&^m | c.fT[o]
-		}
-		c.pl[o], c.ph[o], c.pt[o] = l, h, t
-		if c.shadow != nil {
-			c.shadow[o] = c.packLane0(netlist.NetID(o))
-		}
+		c.pl[o], c.ph[o], c.pt[o] = c.evalGate(int32(p))
 	}
 }
 
@@ -467,7 +256,7 @@ func bsMux(sL, sH, sT, aL, aH, aT, bL, bH, bT uint64) (l, h, t uint64) {
 	return
 }
 
-func (c *bitslice) evalGate(p int32) (l, h, t uint64) {
+func (c *BatchBackend) evalGate(p int32) (l, h, t uint64) {
 	switch logic.Op(c.op[p]) {
 	case logic.Const0:
 		return ^uint64(0), 0, 0
@@ -508,10 +297,9 @@ func (c *bitslice) evalGate(p int32) (l, h, t uint64) {
 	}
 }
 
-// clockPlanes commits flip-flop next states across all lanes and returns
-// lane 0's value-transition count (the scalar Backend contract). Per-lane
-// counts, when enabled, accumulate into c.toggles for lanes in c.active.
-func (c *bitslice) clockPlanes() uint64 {
+// Clock commits flip-flop next states on every lane, implementing
+// Circuit.Clock's q' = mux(rst, mux(en, q, d), rstval) per lane.
+func (c *BatchBackend) Clock() {
 	dffs := c.nl.DFFs
 	for i := range dffs {
 		d := &dffs[i]
@@ -527,51 +315,7 @@ func (c *bitslice) clockPlanes() uint64 {
 		c.tmpL[i], c.tmpH[i], c.tmpT[i] = bsMux(c.pl[d.Rst], c.ph[d.Rst], c.pt[d.Rst],
 			hL, hH, hT, rL, rH, 0)
 	}
-	var t0 uint64
-	act := c.active & c.laneMask
 	for i := range dffs {
-		q := dffs[i].Q
-		oL, oH, oT := c.pl[q], c.ph[q], c.pt[q]
-		nL, nH, nT := c.tmpL[i], c.tmpH[i], c.tmpT[i]
-		if diff := ((oL ^ nL) | (oH ^ nH)) & act; diff != 0 {
-			t0 += diff & 1
-			if c.countLanes {
-				for w := diff; w != 0; w &= w - 1 {
-					c.toggles[bits.TrailingZeros64(w)]++
-				}
-			}
-		}
-		if oL != nL || oH != nH || oT != nT {
-			c.pl[q], c.ph[q], c.pt[q] = nL, nH, nT
-			if c.shadow != nil {
-				c.shadow[q] = c.packLane0(q)
-			}
-			if !c.needFull {
-				c.pending = append(c.pending, q)
-			}
-		}
+		c.setPlanes(dffs[i].Q, c.tmpL[i], c.tmpH[i], c.tmpT[i])
 	}
-	return t0
-}
-
-func (c *bitslice) Clock() uint64 { return c.clockPlanes() }
-
-func (c *bitslice) DFFState() []logic.Packed {
-	out := make([]logic.Packed, len(c.nl.DFFs))
-	for i, d := range c.nl.DFFs {
-		out[i] = c.Get(d.Q)
-	}
-	return out
-}
-
-func (c *bitslice) RestoreDFFState(st []logic.Packed) {
-	for i, d := range c.nl.DFFs {
-		l, h, t := sigPlanes(logic.Unpack(st[i]))
-		c.pl[d.Q], c.ph[d.Q], c.pt[d.Q] = l, h, t
-		if c.shadow != nil {
-			c.shadow[d.Q] = st[i]
-		}
-	}
-	c.pending = c.pending[:0]
-	c.needFull = true
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -74,10 +73,7 @@ func TestBitslicePlaneFormulas(t *testing.T) {
 
 // TestBatchLaneEquivalence drives a BatchBackend at every lane count 1–64
 // against one reference interpreter circuit per lane, through randomized
-// per-lane stimulus: independent input drives, per-lane forced evaluations,
-// clocks with per-lane toggle accounting, cross-lane DFF snapshot
-// save/restore, re-inits, and ragged retirement (lanes dropping out at
-// different steps while the rest must stay bit-identical).
+// per-lane stimulus: independent input drives, clocks and re-inits.
 func TestBatchLaneEquivalence(t *testing.T) {
 	for lanes := 1; lanes <= BatchLanes; lanes++ {
 		rnd := rand.New(rand.NewSource(int64(lanes) * 7919))
@@ -92,159 +88,48 @@ func TestBatchLaneEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		var forceable []netlist.NetID
-		lv, _ := n.Levelize()
-		for id := 0; id < n.NumNets(); id++ {
-			if lv.DriverGate[id] >= 0 || n.IsDFFOutput(netlist.NetID(id)) {
-				forceable = append(forceable, netlist.NetID(id))
-			}
-		}
-		alive := batch.LaneMask()
-		forAlive := func(f func(lane int)) {
-			for m := alive; m != 0; m &= m - 1 {
-				f(bits.TrailingZeros64(m))
-			}
-		}
 		compare := func(step int) {
-			forAlive(func(lane int) {
+			for lane, ref := range refs {
 				for id := 0; id < n.NumNets(); id++ {
-					want := refs[lane].Get(netlist.NetID(id))
+					want := ref.Get(netlist.NetID(id))
 					got := batch.GetLane(lane, netlist.NetID(id))
 					if got != want {
 						t.Fatalf("lanes=%d step %d lane %d net %q: batch=%s ref=%s",
 							lanes, step, lane, n.Name(netlist.NetID(id)), got, want)
 					}
 				}
-			})
+			}
 		}
-		var snaps [][]logic.Packed
 		for step := 0; step < 80; step++ {
-			switch op := rnd.Intn(12); {
+			switch op := rnd.Intn(9); {
 			case op < 4: // independent per-lane input drives, then eval
-				forAlive(func(lane int) {
+				for lane, ref := range refs {
 					for _, in := range inputs {
 						if rnd.Intn(2) == 0 {
 							s := bitsliceSigs[rnd.Intn(len(bitsliceSigs))]
-							refs[lane].SetInput(in, s)
+							ref.SetInput(in, s)
 							batch.SetLane(lane, in, s)
 						}
 					}
-				})
-				forAlive(func(lane int) { refs[lane].Eval(nil) })
+					ref.Eval(nil)
+				}
 				batch.Eval()
-			case op < 6: // per-lane forced evaluation
-				forAlive(func(lane int) {
-					forced := map[netlist.NetID]logic.Sig{}
-					for k := 0; k < rnd.Intn(3); k++ {
-						id := forceable[rnd.Intn(len(forceable))]
-						s := bitsliceSigs[rnd.Intn(len(bitsliceSigs))]
-						forced[id] = s
-						batch.Force(lane, id, s)
-					}
-					refs[lane].Eval(forced)
-				})
-				batch.Eval()
-			case op < 8: // clock with per-lane toggle accounting, then settle
+			case op < 8: // clock, then settle
 				batch.Clock()
-				forAlive(func(lane int) {
-					refs[lane].Clock()
-					if refs[lane].Toggles != batch.LaneToggles(lane) {
-						t.Fatalf("lanes=%d step %d lane %d: toggles batch=%d ref=%d",
-							lanes, step, lane, batch.LaneToggles(lane), refs[lane].Toggles)
-					}
-					refs[lane].Eval(nil)
-				})
+				for _, ref := range refs {
+					ref.Clock()
+					ref.Eval(nil)
+				}
 				batch.Eval()
-			case op < 9: // cross-lane snapshot or restore
-				if len(snaps) == 0 || rnd.Intn(2) == 0 {
-					forAlive(func(lane int) {
-						snaps = append(snaps, batch.LaneDFFState(lane))
-					})
-				} else if alive != 0 {
-					st := snaps[rnd.Intn(len(snaps))]
-					forAlive(func(lane int) {
-						if rnd.Intn(2) == 0 {
-							return
-						}
-						refs[lane].RestoreDFFState(st)
-						batch.RestoreLaneDFFState(lane, st)
-					})
-					forAlive(func(lane int) { refs[lane].Eval(nil) })
-					batch.Eval()
-				}
-			case op < 11: // ragged retirement: one lane drops out for good
-				if bits.OnesCount64(alive) > 1 {
-					set := []int{}
-					forAlive(func(lane int) { set = append(set, lane) })
-					alive &^= 1 << set[rnd.Intn(len(set))]
-					batch.SetActive(alive)
-				}
 			default: // re-init every lane
 				batch.InitX()
-				forAlive(func(lane int) {
-					refs[lane].InitX()
-					refs[lane].Toggles = 0
-					refs[lane].Eval(nil)
-				})
+				for _, ref := range refs {
+					ref.InitX()
+					ref.Eval(nil)
+				}
 				batch.Eval()
 			}
 			compare(step)
-		}
-	}
-}
-
-// TestBatchPartialForceRevert pins the per-lane analogue of the released
-// force: a lane forced in one Eval and not the next must revert to its
-// driver, even when the same net stays force-overlaid for a different lane
-// and no gate input changed in between.
-func TestBatchPartialForceRevert(t *testing.T) {
-	n := netlist.New()
-	a := n.AddInput("a")
-	b := n.AddInput("b")
-	ab := n.NewNet("ab")
-	o := n.NewNet("o")
-	n.AddGate(logic.And, ab, a, b)
-	n.AddGate(logic.Not, o, ab)
-	bb, err := NewBatchBackend(n, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bb.SetAll(a, logic.One0)
-	bb.SetAll(b, logic.One0)
-	bb.Eval()
-	for lane := 0; lane < 4; lane++ {
-		if got := bb.GetLane(lane, o); got != logic.Zero0 {
-			t.Fatalf("lane %d: o=%s, want 0", lane, got)
-		}
-	}
-	// Force lanes 1 and 2, differently.
-	bb.Force(1, ab, logic.Zero1)
-	bb.Force(2, ab, logic.XT)
-	bb.Eval()
-	for lane, want := range []logic.Sig{logic.One0, logic.Zero1, logic.XT, logic.One0} {
-		if got := bb.GetLane(lane, ab); got != want {
-			t.Fatalf("forced: lane %d ab=%s, want %s", lane, got, want)
-		}
-	}
-	if got := bb.GetLane(1, o); got != logic.One1 {
-		t.Fatalf("forced: lane 1 o=%s, want 1*", got)
-	}
-	// Next Eval keeps only lane 2 forced: lane 1 must revert to the driver.
-	bb.Force(2, ab, logic.Zero1)
-	bb.Eval()
-	for lane, want := range []logic.Sig{logic.One0, logic.One0, logic.Zero1, logic.One0} {
-		if got := bb.GetLane(lane, ab); got != want {
-			t.Fatalf("partial release: lane %d ab=%s, want %s", lane, got, want)
-		}
-	}
-	// Fully released: every lane reverts.
-	bb.Eval()
-	for lane := 0; lane < 4; lane++ {
-		if got := bb.GetLane(lane, ab); got != logic.One0 {
-			t.Fatalf("released: lane %d ab=%s, want 1", lane, got)
-		}
-		if got := bb.GetLane(lane, o); got != logic.Zero0 {
-			t.Fatalf("released: lane %d o=%s, want 0", lane, got)
 		}
 	}
 }
