@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race race-observability differential backend-differential repair-differential target-differential fault trace bench-json bench-check serve soak stream clean
+.PHONY: check build fmt vet bench-smoke test race race-observability differential backend-differential repair-differential target-differential fault trace bench-json bench-check serve soak stream clean
 
-# check is the CI gate: formatting, vet, build, the full suite under the
-# race detector (the engine itself is single-threaded, but bench fan-out,
-# the service and the CLIs are not), the repair differential, and the
-# target differential.
-check: fmt vet build race repair-differential target-differential
+# check is the CI gate: formatting, vet, build, the benchmark module's
+# smoke test, the full suite under the race detector (the engine itself is
+# single-threaded, but bench fan-out, the service and the CLIs are not),
+# the repair differential, and the target differential.
+check: fmt vet build bench-smoke race repair-differential target-differential
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,12 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# bench-smoke vets and tests the benchmark (glbench/), which is its own Go
+# module: the root build, vet and test never compile it, yet it calls the
+# service and repair APIs.
+bench-smoke:
+	cd glbench && $(GO) vet . && $(GO) test .
 
 # The glift suite explores full benchmark binaries; under the race
 # detector it outgrows go test's default 10m per-package timeout.

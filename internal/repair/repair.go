@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/glift"
+	"repro/internal/mcu"
 	"repro/internal/transform"
 )
 
@@ -197,11 +198,19 @@ func (s *Spec) taskCycles() uint64 {
 	return s.TaskCycles
 }
 
-// Run executes the repair loop. A non-nil error is a user/input error
-// (unparseable source, unresolvable range, invalid partition); analysis
-// outcomes — including cancellation and budget exhaustion, which surface as
-// an Incomplete final verdict — are reported through Result.Report.
+// Run executes the repair loop on the shared msp430 design. A non-nil
+// error is a user/input error (unparseable source, unresolvable range,
+// invalid partition); analysis outcomes — including cancellation and budget
+// exhaustion, which surface as an Incomplete final verdict — are reported
+// through Result.Report.
 func Run(ctx context.Context, spec *Spec) (*Result, error) {
+	return RunOn(ctx, glift.SharedDesign(), spec)
+}
+
+// RunOn is Run on an explicit design: every round analyses on d (the hook
+// for serving repairs of a modified netlist, mirroring
+// glift.AnalyzeContextOn).
+func RunOn(ctx context.Context, d *mcu.Design, spec *Spec) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -250,7 +259,7 @@ func Run(ctx context.Context, spec *Spec) (*Result, error) {
 		if spec.RoundProgress != nil {
 			opts.Progress = spec.RoundProgress(round)
 		}
-		rep, err = glift.AnalyzeContext(ctx, img, &pol, &opts)
+		rep, err = glift.AnalyzeContextOn(ctx, d, img, &pol, &opts)
 		if err != nil {
 			return nil, err
 		}

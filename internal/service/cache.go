@@ -1,17 +1,28 @@
 package service
 
 import (
+	"encoding/json"
+
 	"repro/internal/glift"
 	"repro/internal/repair"
 )
 
 // cachedResult is one completed execution in the result cache: the final
 // analysis report, plus — for repair jobs — the full repair payload in wire
-// form. Analysis and repair keys live in disjoint keyspaces (repairKey is
-// domain-tagged), so an entry's shape is determined by its key.
+// form. Analysis and repair keys live in disjoint keyspaces (repair keys
+// are domain-tagged), so an entry's shape is determined by its key.
 type cachedResult struct {
 	rep  *glift.Report
 	rres *repair.ResultJSON // non-nil for repair jobs
+}
+
+// encode is the result's store payload: the repair payload for repair
+// jobs, the report's wire form otherwise.
+func (c *cachedResult) encode() ([]byte, error) {
+	if c.rres != nil {
+		return json.Marshal(c.rres)
+	}
+	return json.Marshal(c.rep.JSON())
 }
 
 // resultCache is the content-addressed result store: completed results keyed

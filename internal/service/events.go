@@ -121,17 +121,17 @@ func (s *Server) publish(jobID, typ string, v any) {
 	}
 }
 
-// finishJob publishes the final report to waiters and the stream in one
-// place: report to the job record, verdict event to the topic, then the
+// finishJob publishes the final result to waiters and the stream in one
+// place: result to the job record, verdict event to the topic, then the
 // terminal topic close. Every completion path — engine run, cache hit,
 // store hit — funnels through here so no stream can end without its
 // verdict event.
-func (s *Server) finishJob(j *job, rep *glift.Report, cacheHit bool, stages StageTimesJSON) {
-	j.finish(rep)
+func (s *Server) finishJob(j *job, res *cachedResult, stages StageTimesJSON) {
+	j.finish(res)
 	s.publish(j.id, EventVerdict, VerdictEventJSON{
 		ID:       j.id,
-		Verdict:  rep.Verdict().String(),
-		CacheHit: cacheHit,
+		Verdict:  res.rep.Verdict().String(),
+		CacheHit: j.cacheHit,
 		Stages:   stages,
 	})
 	s.broker.CloseTopic(j.id)
@@ -139,15 +139,11 @@ func (s *Server) finishJob(j *job, rep *glift.Report, cacheHit bool, stages Stag
 
 // finishHit completes a cache- or store-served job: the lookup duration is
 // the job's cache-hit stage, and the stream carries the verdict as its
-// only event — late subscribers replay it from the ring. Repair hits carry
-// the full repair payload back to the job record.
+// only event — late subscribers replay it from the ring.
 func (s *Server) finishHit(j *job, c *cachedResult, start time.Time) {
 	d := time.Since(start)
 	s.prom.stages.Observe(StageCacheHit, d)
-	if c.rres != nil {
-		j.setRepair(c.rres)
-	}
-	s.finishJob(j, c.rep, true, StageTimesJSON{
+	s.finishJob(j, c, StageTimesJSON{
 		CacheHitNS: d.Nanoseconds(),
 		TotalNS:    d.Nanoseconds(),
 	})

@@ -9,11 +9,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/asm"
 	"repro/internal/glift"
 	"repro/internal/obs"
 	"repro/internal/repair"
-	"repro/internal/target"
 )
 
 // The HTTP API, mapping the fail-closed verdict taxonomy onto status codes
@@ -151,23 +149,24 @@ func (j *job) status() JobStatusJSON {
 		Coalesced: j.coalesced,
 		Cancelled: j.cancelled,
 		Progress:  progressJSON(j.progress),
-		Repair:    j.rres,
 	}
-	if j.report != nil {
-		rj := j.report.JSON()
+	if j.res != nil {
+		rj := j.res.rep.JSON()
 		st.Verdict = rj.Verdict
 		st.Report = &rj
+		st.Repair = j.res.rres
 	}
 	return st
 }
 
 // newJobLocked allocates a job record and its event-stream topic; the
 // caller holds s.mu.
-func (s *Server) newJobLocked(key string) *job {
+func (s *Server) newJobLocked(key, mode string) *job {
 	s.nextID++
 	j := &job{
 		id:      fmt.Sprintf("job-%d", s.nextID),
 		key:     key,
+		mode:    mode,
 		state:   stateQueued,
 		done:    make(chan struct{}),
 		created: time.Now(),
@@ -178,10 +177,11 @@ func (s *Server) newJobLocked(key string) *job {
 	return j
 }
 
-// tryServeExistingLocked answers a submission from the memory cache or
-// coalesces it onto an identical in-flight job. start is when the
-// submission began (the cache-hit latency span). The caller holds s.mu;
-// when it returns true the lock has been released and the response written.
+// tryServeExistingLocked answers a submission from the memory cache (which
+// also serves validated store hits, promoted into it) or coalesces it onto
+// an identical in-flight job. start is when the submission began (the
+// cache-hit latency span). The caller holds s.mu; when it returns true the
+// lock has been released and the response written.
 func (s *Server) tryServeExistingLocked(w http.ResponseWriter, r *http.Request, key, mode string, wait bool, start time.Time) bool {
 	// Content-addressed reuse: a completed identical job answers instantly.
 	// Repair keys are domain-tagged, so a hit's shape always matches the
@@ -189,9 +189,8 @@ func (s *Server) tryServeExistingLocked(w http.ResponseWriter, r *http.Request, 
 	if c, ok := s.cache.get(key); ok {
 		s.m.cacheHits++
 		s.prom.cacheHits.Inc()
-		j := s.newJobLocked(key)
+		j := s.newJobLocked(key, mode)
 		j.cacheHit = true
-		j.mode = mode
 		j.tenant = tenantOf(r)
 		s.mu.Unlock()
 		s.finishHit(j, c, start)
@@ -233,31 +232,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	var (
-		tgt      *target.Target
-		img      *asm.Image
-		pol      *glift.Policy
-		opt      *glift.Options
-		deadline time.Duration
-		rspec    *repair.Spec
-		err      error
-	)
 	if req.Target == "" {
 		req.Target = s.cfg.DefaultTarget
 	}
-	mode := req.Mode
-	switch mode {
-	case "analyze":
-		mode = modeAnalyze // canonical form
-		fallthrough
-	case modeAnalyze:
-		tgt, img, pol, opt, deadline, err = compile(&req)
-	case modeRepair:
-		rspec, opt, deadline, err = compileRepair(&req)
-	default:
-		writeError(w, http.StatusBadRequest, "unknown mode %q (want analyze or repair)", mode)
-		return
-	}
+	kind, opt, deadline, err := compile(&req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -279,12 +257,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		deadline = s.cfg.DefaultDeadline
 	}
 	wait := r.URL.Query().Get("wait") != "" && r.URL.Query().Get("wait") != "0"
-	var key string
-	if mode == modeRepair {
-		key = s.repairKey(rspec, opt, deadline)
-	} else {
-		key = s.jobKey(tgt, img, pol, opt, deadline)
-	}
+	key := s.jobKey(kind, opt, deadline)
+	mode := kind.mode()
 
 	s.mu.Lock()
 	if s.closed || s.draining {
@@ -302,31 +276,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Persistent-store probe, outside the server lock (it reads and
 	// integrity-checks a record on disk). A validated hit is promoted into
-	// the memory cache so the next identical submission skips the disk.
-	var stored *cachedResult
-	if mode == modeRepair {
-		stored = s.lookupStoreRepair(key)
-	} else if rep := s.lookupStore(key); rep != nil {
-		stored = &cachedResult{rep: rep}
-	}
-	if stored != nil {
-		s.mu.Lock()
-		s.m.cacheHits++
-		s.m.storeHits++
-		s.prom.cacheHits.Inc()
-		s.prom.storeHits.Inc()
-		s.cache.put(key, stored)
-		j := s.newJobLocked(key)
-		j.cacheHit = true
-		j.mode = mode
-		j.tenant = tenantOf(r)
-		s.mu.Unlock()
-		s.finishHit(j, stored, submitStart)
-		s.respond(w, r, j, wait)
-		return
-	}
+	// the memory cache, so the re-check below serves it and the next
+	// identical submission skips the disk.
+	stored := s.lookupStore(key, kind)
 
 	s.mu.Lock()
+	if stored != nil {
+		s.m.storeHits++
+		s.prom.storeHits.Inc()
+		s.cache.put(key, stored)
+	}
 	// Re-check after the unlocked disk probe: an identical submission may
 	// have completed or enqueued meanwhile.
 	if s.tryServeExistingLocked(w, r, key, mode, wait, submitStart) {
@@ -347,10 +306,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"deadline %s cannot be met: estimated queue wait %s", deadline, estWait.Round(time.Millisecond))
 		return
 	}
-	j := s.newJobLocked(key)
-	j.tgt = tgt
-	j.img, j.pol, j.opt, j.deadline = img, pol, *opt, deadline
-	j.mode, j.rspec = mode, rspec
+	j := s.newJobLocked(key, mode)
+	j.kind, j.opt, j.deadline = kind, *opt, deadline
 	j.backendSet = req.Options.Backend != ""
 	j.tenant = tenantOf(r)
 	j.streamTrace = req.Options.StreamTrace
@@ -393,7 +350,7 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, j *job, wait bo
 	st := j.status()
 	code := http.StatusAccepted
 	if st.State == stateDone {
-		code = verdictStatus(j.report.Verdict())
+		code = verdictStatus(j.res.rep.Verdict())
 	}
 	writeJSON(w, code, st)
 }
@@ -409,7 +366,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	st := j.status()
 	code := http.StatusOK
 	if st.State == stateDone {
-		code = verdictStatus(j.report.Verdict())
+		code = verdictStatus(j.res.rep.Verdict())
 	}
 	writeJSON(w, code, st)
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/asm"
 	"repro/internal/glift"
 	"repro/internal/mcu"
-	"repro/internal/repair"
 	"repro/internal/sim"
 	"repro/internal/target"
 )
@@ -30,17 +29,45 @@ const (
 	modeRepair  = "repair"
 )
 
-// job is one tracked analysis execution. A single job may serve several
-// submitters: concurrent identical submissions coalesce onto the job that
-// is already queued or running.
+// jobKind is what one job runs: an analysis (analysisKind) or a repair loop
+// (repairKind). Every job takes the same path whatever its kind — key,
+// cache/coalesce, store probe, queue, run, persist before acknowledging,
+// cache, finish — and the kind supplies only the steps that depend on what
+// runs.
+type jobKind interface {
+	// mode is the job's wire mode (modeAnalyze or modeRepair).
+	mode() string
+	// writeKey hashes the kind's inputs, including the fingerprint of the
+	// design it runs on; jobKey appends the shared options-and-deadline
+	// tail.
+	writeKey(s *Server, h keyHash)
+	// run executes the job on the engine under ctx. It always returns a
+	// result, fail-closed: a failure inside the run is an InternalError
+	// report.
+	run(ctx context.Context, s *Server, j *job, opt *glift.Options) (*cachedResult, runCost)
+	// decode rebuilds a stored payload, failing closed on anything the
+	// kind's gate rejects; lookupStore then requires the result to
+	// re-encode to the payload's exact bytes.
+	decode(payload []byte) (*cachedResult, error)
+}
+
+// runCost is what one execution spent on the engine.
+type runCost struct {
+	engineRuns int64 // one per analysis, one per repair round
+	cycles     uint64
+}
+
+// job is one tracked execution. A single job may serve several submitters:
+// concurrent identical submissions coalesce onto the job that is already
+// queued or running.
 type job struct {
-	id  string
-	key string
-	// tgt is the processor target the job analyzes on (nil for repair
-	// jobs, which run on the server's default design).
-	tgt      *target.Target
-	img      *asm.Image
-	pol      *glift.Policy
+	id   string
+	key  string
+	mode string
+	// kind holds the job's inputs (image, policy, source). Only executed
+	// jobs carry it: job records are never freed, so cache-hit records keep
+	// just their mode and result.
+	kind     jobKind
 	opt      glift.Options
 	deadline time.Duration
 	ctx      context.Context
@@ -58,16 +85,11 @@ type job struct {
 	// event to the job's event stream (opt-in sampling; 0 disables). Like
 	// Workers it never affects results, so it is not part of the job key.
 	streamTrace int
-	// mode selects the execution path (modeAnalyze or modeRepair); repair
-	// jobs carry their spec in rspec instead of img/pol.
-	mode  string
-	rspec *repair.Spec
 
 	mu        sync.Mutex
 	state     string
 	progress  glift.Progress
-	report    *glift.Report
-	rres      *repair.ResultJSON // repair jobs: the full repair payload
+	res       *cachedResult // set once by finish
 	cacheHit  bool
 	coalesced int64 // extra submissions served by this execution
 	cancelled bool
@@ -89,19 +111,11 @@ func (j *job) setProgress(p glift.Progress) {
 	j.mu.Unlock()
 }
 
-// setRepair attaches the completed repair payload; it must happen before
-// finish so waiters woken by the done channel see it.
-func (j *job) setRepair(rj *repair.ResultJSON) {
-	j.mu.Lock()
-	j.rres = rj
-	j.mu.Unlock()
-}
-
-// finish publishes the final report and wakes every waiter.
-func (j *job) finish(rep *glift.Report) {
+// finish publishes the final result and wakes every waiter.
+func (j *job) finish(res *cachedResult) {
 	j.mu.Lock()
 	j.state = stateDone
-	j.report = rep
+	j.res = res
 	j.finished = time.Now()
 	j.mu.Unlock()
 	close(j.done)
@@ -215,41 +229,59 @@ func toRanges(rs []RangeRequest) []glift.AddrRange {
 	return out
 }
 
-// compile turns a request into engine inputs, reporting user errors (bad
-// target, bad source, bad policy) that the HTTP layer maps to 400.
-func compile(req *JobRequest) (*target.Target, *asm.Image, *glift.Policy, *glift.Options, time.Duration, error) {
+// compile turns a request into its job kind, engine options and deadline,
+// reporting user errors (bad mode, target, program, policy or options) that
+// the HTTP layer maps to 400.
+func compile(req *JobRequest) (jobKind, *glift.Options, time.Duration, error) {
 	tgt, err := target.Parse(req.Target)
 	if err != nil {
-		return nil, nil, nil, nil, 0, err
+		return nil, nil, 0, err
 	}
-	var img *asm.Image
-	switch {
-	case req.Source != "" && req.IHex != "":
-		return nil, nil, nil, nil, 0, fmt.Errorf("give either source or ihex, not both")
-	case req.Source != "":
-		if img, err = tgt.Assemble(req.Source); err != nil {
-			return nil, nil, nil, nil, 0, err
-		}
-	case req.IHex != "":
-		if img, err = imageFromIHex(req.IHex, req.Entry); err != nil {
-			return nil, nil, nil, nil, 0, err
-		}
-	default:
-		return nil, nil, nil, nil, 0, fmt.Errorf("missing program: give source or ihex")
-	}
-	if err := validateImage(img, tgt.Design()); err != nil {
-		return nil, nil, nil, nil, 0, err
-	}
-
 	pol, err := compilePolicy(&req.Policy)
 	if err != nil {
-		return nil, nil, nil, nil, 0, err
+		return nil, nil, 0, err
 	}
 	opt, deadline, err := compileOptions(&req.Options)
 	if err != nil {
-		return nil, nil, nil, nil, 0, err
+		return nil, nil, 0, err
 	}
-	return tgt, img, pol, opt, deadline, nil
+	var kind jobKind
+	switch req.Mode {
+	case modeAnalyze, "analyze":
+		kind, err = compileAnalysis(req, tgt, pol)
+	case modeRepair:
+		kind, err = compileRepair(req, tgt, pol)
+	default:
+		err = fmt.Errorf("unknown mode %q (want analyze or repair)", req.Mode)
+	}
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return kind, opt, deadline, nil
+}
+
+// compileAnalysis loads the request's program — assembly source or an
+// Intel-hex image — for an analysis job.
+func compileAnalysis(req *JobRequest, tgt *target.Target, pol *glift.Policy) (jobKind, error) {
+	var img *asm.Image
+	var err error
+	switch {
+	case req.Source != "" && req.IHex != "":
+		return nil, fmt.Errorf("give either source or ihex, not both")
+	case req.Source != "":
+		img, err = tgt.Assemble(req.Source)
+	case req.IHex != "":
+		img, err = imageFromIHex(req.IHex, req.Entry)
+	default:
+		return nil, fmt.Errorf("missing program: give source or ihex")
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := validateImage(img, tgt.Design()); err != nil {
+		return nil, err
+	}
+	return &analysisKind{tgt: tgt, img: img, pol: pol}, nil
 }
 
 // validateImage rejects images that do not fit the target's ROM: each

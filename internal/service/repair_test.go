@@ -6,9 +6,13 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/target"
 )
 
 // repairReq builds a repair-mode submission over violSrc: the Figure 9
@@ -107,6 +111,63 @@ func TestRepairJobHTTP(t *testing.T) {
 	}
 	if m.EngineRuns != 2 {
 		t.Errorf("engine runs = %d, want 2 (one per round)", m.EngineRuns)
+	}
+	// The run-time histogram observes every engine run, not every job.
+	_, body := c.get("/metrics", "")
+	var observed float64
+	for _, line := range strings.Split(body, "\n") {
+		if rest, ok := strings.CutPrefix(line, "glift_engine_run_seconds_count{"); ok {
+			n, err := strconv.ParseFloat(rest[strings.LastIndexByte(rest, ' ')+1:], 64)
+			if err != nil {
+				t.Fatalf("bad histogram count line %q: %v", line, err)
+			}
+			observed += n
+		}
+	}
+	if observed != 2 {
+		t.Errorf("glift_engine_run_seconds observed %v runs, want 2 (one per round)", observed)
+	}
+}
+
+// TestRepairRunsOnServerDesign: a NewOn server repairs on its own design,
+// the one its repair keys carry the fingerprint of. With r14 bit 10 stuck
+// at 1, violSrc's store address always lands in the tainted partition, so
+// the server's analysis verifies the program and its repair loop must
+// agree in one round; the shared design flags the store and masks it in a
+// second round.
+func TestRepairRunsOnServerDesign(t *testing.T) {
+	d := target.Default().NewDesign()
+	stuck := 0
+	for i := range d.NL.DFFs {
+		if ff := &d.NL.DFFs[i]; ff.Q == d.Regs[14][10] {
+			ff.D, ff.Rst, ff.En = d.NL.Const1(), d.NL.Const0(), d.NL.Const1()
+			stuck++
+		}
+	}
+	if stuck != 1 {
+		t.Fatalf("%d flip-flops drive r14 bit 10, want 1", stuck)
+	}
+	s, err := NewOn(d, Config{Workers: 1, QueueDepth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		hs.Close()
+		s.Close()
+	})
+	c := &testClient{t: t, srv: hs, s: s}
+
+	code, st := c.do("POST", "/jobs?wait=1", &JobRequest{Source: violSrc, Policy: violPolicy(t)})
+	if code != http.StatusOK || st.Report == nil || st.Report.Stats.Cycles != 11 {
+		t.Fatalf("analysis on the stuck design: HTTP %d, status %+v; want verified in 11 cycles", code, st)
+	}
+	code, st = c.do("POST", "/jobs?wait=1", repairReq())
+	if code != http.StatusOK || st.Repair == nil {
+		t.Fatalf("repair on the stuck design: HTTP %d, verdict %q", code, st.Verdict)
+	}
+	if rounds := st.Repair.Rounds; len(rounds) != 1 || rounds[0].Violations != 0 || rounds[0].Verdict != "verified" {
+		t.Errorf("repair rounds = %+v, want one verified round, as the server's analysis found", rounds)
 	}
 }
 
@@ -227,45 +288,93 @@ func TestRepairStoreRecovery(t *testing.T) {
 	}
 }
 
-// TestRepairStoreFailClosed: a tampered persisted repair record is
-// quarantined and re-run, never served. Flipping one verdict string inside
-// the payload keeps it well-formed JSON but breaks the final-round/report
-// verdict re-derivation the read path enforces.
-func TestRepairStoreFailClosed(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{Workers: 1, QueueDepth: 8, StoreDir: dir}
-	c1, s1 := newTestClient(t, cfg)
-	code, _, st := c1.rawRepair(repairReq())
-	if code != http.StatusOK {
-		t.Fatalf("first run: HTTP %d", code)
+// answer submits req with wait and returns its status and the served
+// result — the repair payload for repair jobs, the report otherwise —
+// re-encoded with the run-dependent stats (wall time, peak memory) zeroed,
+// so a re-run can be compared byte for byte with a cold run.
+func (c *testClient) answer(req *JobRequest) (JobStatusJSON, string) {
+	c.t.Helper()
+	_, st := c.do("POST", "/jobs?wait=1", req)
+	if st.Report == nil {
+		c.t.Fatalf("job %s finished without a report", st.ID)
 	}
-	payload, ok := s1.Store().Get(st.Key)
-	if !ok {
-		t.Fatal("completed repair job not in the store")
+	if st.Repair != nil {
+		return st, normalizedRepairJSON(c.t, *st.Repair)
 	}
-	tampered := bytes.Replace(payload, []byte(`"verdict":"verified"`), []byte(`"verdict":"violations"`), 1)
-	if bytes.Equal(tampered, payload) {
-		t.Fatalf("tamper pattern not found in persisted payload:\n%s", payload)
+	rj := *st.Report
+	rj.Stats.WallNanos, rj.Stats.PeakMemBytes = 0, 0
+	b, err := json.Marshal(rj)
+	if err != nil {
+		c.t.Fatal(err)
 	}
-	if err := s1.Store().Put(st.Key, tampered); err != nil {
-		t.Fatal(err)
-	}
-	c1.close()
+	return st, string(b)
+}
 
-	c2, _ := newTestClient(t, cfg)
-	code, _, st2 := c2.rawRepair(repairReq())
-	if code != http.StatusOK {
-		t.Fatalf("re-run after tamper: HTTP %d", code)
+// TestRepairStoreFailClosed: a persisted record that fails its job kind's
+// read gate is quarantined and re-run, never served, and the re-run
+// answers exactly as the cold run did. Store().Put rebinds the record's
+// envelope to the key it is written under, so each record passes the
+// store's checksum and key checks; only the kind's decode gate stands
+// between it and a client — including a well-formed record of the other
+// kind.
+func TestRepairStoreFailClosed(t *testing.T) {
+	const repairJob, analysisJob = 0, 1
+	reqs := []*JobRequest{repairReq(), {Source: violSrc, Policy: violPolicy(t)}}
+	cases := []struct {
+		name   string
+		victim int // the job whose record is rewritten
+		// record builds the rewritten record from the cold runs' records.
+		record func(payloads [][]byte) []byte
+	}{
+		// Flipping one verdict string keeps the payload well-formed JSON
+		// but breaks the final-round/report verdict re-derivation.
+		{"tampered verdict", repairJob, func(p [][]byte) []byte {
+			return bytes.Replace(p[repairJob], []byte(`"verdict":"verified"`), []byte(`"verdict":"violations"`), 1)
+		}},
+		{"analysis payload under the repair key", repairJob, func(p [][]byte) []byte { return p[analysisJob] }},
+		{"repair payload under the analysis key", analysisJob, func(p [][]byte) []byte { return p[repairJob] }},
 	}
-	if st2.CacheHit {
-		t.Fatal("tampered record was served instead of quarantined")
-	}
-	m := c2.metrics()
-	if m.EngineRuns == 0 {
-		t.Error("no engine re-run after quarantining the tampered record")
-	}
-	if m.StoreQuarantined == 0 {
-		t.Error("tampered record was not quarantined")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Workers: 1, QueueDepth: 8, StoreDir: t.TempDir()}
+			c1, s1 := newTestClient(t, cfg)
+			keys := make([]string, len(reqs))
+			answers := make([]string, len(reqs))
+			payloads := make([][]byte, len(reqs))
+			for i, req := range reqs {
+				var st JobStatusJSON
+				st, answers[i] = c1.answer(req)
+				keys[i] = st.Key
+				var ok bool
+				if payloads[i], ok = s1.Store().Get(st.Key); !ok {
+					t.Fatalf("cold job %d not in the store", i)
+				}
+			}
+			record := tc.record(payloads)
+			if bytes.Equal(record, payloads[tc.victim]) {
+				t.Fatal("rewritten record equals the victim's own record")
+			}
+			if err := s1.Store().Put(keys[tc.victim], record); err != nil {
+				t.Fatal(err)
+			}
+			c1.close()
+
+			c2, _ := newTestClient(t, cfg)
+			st, ans := c2.answer(reqs[tc.victim])
+			if st.CacheHit {
+				t.Fatal("rewritten record was served instead of quarantined")
+			}
+			m := c2.metrics()
+			if m.EngineRuns == 0 {
+				t.Error("no engine re-run after quarantining the rewritten record")
+			}
+			if m.StoreQuarantined == 0 {
+				t.Error("rewritten record was not quarantined")
+			}
+			if ans != answers[tc.victim] {
+				t.Errorf("re-run answer differs from the cold run:\n%s\nvs\n%s", ans, answers[tc.victim])
+			}
+		})
 	}
 }
 

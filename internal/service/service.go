@@ -18,12 +18,14 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"io"
 	"log/slog"
 	"net/http"
@@ -335,46 +337,44 @@ func (s *Server) designFor(tgt *target.Target) (*mcu.Design, [sha256.Size]byte) 
 	return e.d, e.fp
 }
 
+// keyHash accumulates a job key: SHA-256 over the kind's inputs and the
+// shared options-and-deadline tail.
+type keyHash struct{ hash.Hash }
+
+// put appends v's fixed-size little-endian encoding.
+func (h keyHash) put(v any) {
+	if err := binary.Write(h, binary.LittleEndian, v); err != nil {
+		panic(fmt.Sprintf("service: hashing job key: %v", err))
+	}
+}
+
+// putBytes appends b with a length prefix.
+func (h keyHash) putBytes(b []byte) {
+	h.put(uint32(len(b)))
+	h.Write(b)
+}
+
 // jobKey computes the canonical content address of a job: the SHA-256 of
-// the target name and its netlist fingerprint, the assembled image (entry
-// point plus every segment), the policy's canonical JSON, the normalized
-// engine options and the job deadline. Two submissions with equal keys are
-// guaranteed to produce the same completed report, which is what makes
-// cache reuse and in-flight coalescing sound — and why the target, which
-// selects the analyzed system itself, participates in the key while the
-// wall-time knobs (Workers/Backend) do not.
-func (s *Server) jobKey(tgt *target.Target, img *asm.Image, pol *glift.Policy, opt *glift.Options, deadline time.Duration) string {
-	_, fp := s.designFor(tgt)
-	h := sha256.New()
-	h.Write([]byte(tgt.Name))
-	h.Write([]byte{0})
-	h.Write(fp[:])
-	put := func(v any) {
-		if err := binary.Write(h, binary.LittleEndian, v); err != nil {
-			panic(fmt.Sprintf("service: hashing job key: %v", err))
-		}
-	}
-	put(img.Entry)
-	put(uint32(len(img.Segments)))
-	for _, seg := range img.Segments {
-		put(seg.Addr)
-		put(uint32(len(seg.Words)))
-		put(seg.Words)
-	}
-	h.Write(pol.CanonicalJSON())
+// the kind's inputs (see analysisKind.writeKey and repairKind.writeKey),
+// then the normalized engine options and the job deadline. Two submissions
+// with equal keys are guaranteed to produce the same completed result,
+// which is what makes cache reuse and in-flight coalescing sound.
+func (s *Server) jobKey(k jobKind, opt *glift.Options, deadline time.Duration) string {
+	h := keyHash{sha256.New()}
+	k.writeKey(s, h)
 	// Normalized() zeroes Options.Workers and Options.Backend: the parallel
 	// engine guarantees byte-identical reports for every worker count, and
 	// the evaluation backends are byte-identical by the same differential
-	// contract (the suite in internal/glift enforces both), so hashing
-	// either would only split the cache and defeat coalescing between
-	// equivalent submissions.
+	// contract (the suites in internal/glift and the repair differential
+	// enforce both), so hashing either would only split the cache and
+	// defeat coalescing between equivalent submissions.
 	n := opt.Normalized()
-	put(n.MaxCycles)
-	put(n.MaxPathCycles)
-	put(int64(n.WidenAfter))
-	put(n.SoftMemBytes)
-	put(n.HardMemBytes)
-	put(int64(deadline))
+	h.put(n.MaxCycles)
+	h.put(n.MaxPathCycles)
+	h.put(int64(n.WidenAfter))
+	h.put(n.SoftMemBytes)
+	h.put(n.HardMemBytes)
+	h.put(int64(deadline))
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -390,20 +390,14 @@ func (s *Server) worker() {
 		s.mu.Unlock()
 		s.prom.queueDepth.Add(-1)
 		s.prom.workersBusy.Add(1)
-		if j.mode == modeRepair {
-			s.runRepairJob(j)
-		} else {
-			s.runJob(j)
-		}
+		s.runJob(j)
 	}
 }
 
-// runJob executes one job on the engine and publishes its result — to the
+// runJob executes one job of either kind and publishes its result — to the
 // job record (waiters), the job's event stream (terminal verdict event with
 // per-stage latencies), the per-stage latency histograms, and the
-// structured log. The engine run carries pprof labels (job id, policy), so
-// CPU and heap profiles taken through gliftd's -pprof endpoint attribute
-// samples to the job that burned them.
+// structured log.
 func (s *Server) runJob(j *job) {
 	started := time.Now()
 	queueWait := started.Sub(j.enqueued)
@@ -423,90 +417,89 @@ func (s *Server) runJob(j *job) {
 	if !j.backendSet {
 		opt.Backend = s.cfg.EngineBackend
 	}
-	opt.Progress = (&engineProgress{m: s.prom, next: func(p glift.Progress) {
-		j.setProgress(p)
-		s.publish(j.id, EventProgress, progressJSON(p))
-	}}).observe
 	if j.streamTrace > 0 {
 		opt.Tracer = s.traceSampler(j, j.streamTrace)
 	}
 
-	var rep *glift.Report
 	engStart := time.Now()
-	design, _ := s.designFor(j.tgt)
-	eng, err := glift.NewEngineOn(design, j.img, j.pol, &opt)
-	if err != nil {
-		// Policy validation happens at submission time, so this is an
-		// internal construction failure; report it fail-closed.
-		rep = &glift.Report{Policy: j.pol.Name, Err: &glift.RunError{Reason: err.Error()}}
-	} else {
-		pprof.Do(ctx, pprof.Labels("glift_job", j.id, "glift_policy", j.pol.Name),
-			func(ctx context.Context) { rep = eng.RunContext(ctx) })
-	}
+	res, cost := j.kind.run(ctx, s, j, &opt)
 	engineRun := time.Since(engStart)
 	s.prom.stages.Observe(StageEngineRun, engineRun)
-	verdict := rep.Verdict()
+	verdict := res.rep.Verdict()
+	// Only completed explorations are kept: Incomplete and InternalError
+	// reflect the run, not the inputs.
+	keep := verdict == glift.Verified || verdict == glift.Violations
 
 	// Persist before publishing: once any waiter sees the completed result,
 	// the result has been fsynced, so an acknowledged verdict survives
-	// kill -9. Only completed explorations persist — like the in-memory
-	// cache, Incomplete/InternalError reflect the run, not the inputs.
+	// kill -9.
 	var persistDur time.Duration
-	if verdict == glift.Verified || verdict == glift.Violations {
+	if keep {
 		pStart := time.Now()
-		s.persist(j.key, rep)
+		s.persist(j.key, res)
 		persistDur = time.Since(pStart)
 		s.prom.stages.Observe(StagePersist, persistDur)
 	}
 
 	s.mu.Lock()
 	s.m.busyWorkers--
-	s.m.engineRuns++
+	s.m.engineRuns += cost.engineRuns
 	s.m.completed++
 	s.m.byVerdict[verdict.String()]++
-	s.m.cyclesTotal += rep.Stats.Cycles
+	s.m.cyclesTotal += cost.cycles
 	s.observeRunLocked(time.Since(started))
 	delete(s.inflight, j.key)
-	if verdict == glift.Verified || verdict == glift.Violations {
-		s.cache.put(j.key, &cachedResult{rep: rep})
+	if keep {
+		s.cache.put(j.key, res)
 	}
 	s.mu.Unlock()
 	s.prom.workersBusy.Add(-1)
 	s.prom.jobsCompleted.With(verdict.String()).Inc()
-	s.prom.runDur.With(verdict.String()).Observe(float64(rep.Stats.WallNanos) / 1e9)
-	s.finishJob(j, rep, false, StageTimesJSON{
+	s.finishJob(j, res, StageTimesJSON{
 		QueueWaitNS: queueWait.Nanoseconds(),
 		EngineRunNS: engineRun.Nanoseconds(),
 		PersistNS:   persistDur.Nanoseconds(),
 		TotalNS:     time.Since(j.created).Nanoseconds(),
 	})
 	s.log.Info("job completed",
-		"job_id", j.id, "tenant", j.tenant, "verdict", verdict.String(),
-		"cycles", rep.Stats.Cycles, "queue_wait_ms", queueWait.Milliseconds(),
-		"engine_run_ms", engineRun.Milliseconds())
+		"job_id", j.id, "tenant", j.tenant, "mode", cmp.Or(j.mode, "analyze"),
+		"verdict", verdict.String(), "engine_runs", cost.engineRuns, "cycles", cost.cycles,
+		"queue_wait_ms", queueWait.Milliseconds(), "engine_run_ms", engineRun.Milliseconds())
 }
 
-// persist writes one completed report durably. A store failure (cap
+// progressHook returns a fresh Options.Progress hook for one engine run of
+// j: it mirrors the run into the engine metrics (one observer per run, so
+// the cumulative→delta conversion never sees a counter reset) and into the
+// job's progress and event stream.
+func (s *Server) progressHook(j *job) func(glift.Progress) {
+	return (&engineProgress{m: s.prom, next: func(p glift.Progress) {
+		j.setProgress(p)
+		s.publish(j.id, EventProgress, progressJSON(p))
+	}}).observe
+}
+
+// persist writes one completed result durably. A store failure (cap
 // exceeded, disk error) is absorbed: the result stays served from memory
 // and is simply not durable, which the store's own PutErrors counter
 // surfaces — durability degrades, correctness never does.
-func (s *Server) persist(key string, rep *glift.Report) {
+func (s *Server) persist(key string, res *cachedResult) {
 	if s.store == nil {
 		return
 	}
-	payload, err := json.Marshal(rep.JSON())
+	payload, err := res.encode()
 	if err != nil {
 		return
 	}
 	s.store.Put(key, payload) //nolint:errcheck // see above; counted in store stats
 }
 
-// lookupStore probes the persistent store for a completed report. A hit is
-// trusted only after full reconstruction: the payload must parse, rebuild
-// into a report, and re-serialize byte-identically — the same bytes a cold
-// engine run would produce. Any failure quarantines the record and reads
-// as a miss, extending the fail-closed contract to storage.
-func (s *Server) lookupStore(key string) *glift.Report {
+// lookupStore probes the persistent store for a completed result of kind
+// k. A hit is trusted only after full reconstruction: the payload must pass
+// the kind's decode gate and re-encode byte-identically — the same bytes a
+// cold run would produce. Any failure, including a record of the other
+// kind, quarantines the record and reads as a miss, extending the
+// fail-closed contract to storage.
+func (s *Server) lookupStore(key string, k jobKind) *cachedResult {
 	if s.store == nil {
 		return nil
 	}
@@ -514,20 +507,78 @@ func (s *Server) lookupStore(key string) *glift.Report {
 	if !ok {
 		return nil
 	}
-	var rj glift.ReportJSON
-	if err := json.Unmarshal(payload, &rj); err != nil {
-		s.store.Quarantine(key)
-		return nil
+	res, err := k.decode(payload)
+	var canon []byte
+	if err == nil {
+		canon, err = res.encode()
 	}
-	rep, err := rj.Report()
-	if err != nil {
-		s.store.Quarantine(key)
-		return nil
-	}
-	canon, err := json.Marshal(rep.JSON())
 	if err != nil || !bytes.Equal(canon, payload) {
 		s.store.Quarantine(key)
 		return nil
 	}
-	return rep
+	return res
+}
+
+// analysisKind is one run of the analysis engine: Algorithm 1's verdict for
+// an image under a policy on a target's design.
+type analysisKind struct {
+	tgt *target.Target
+	img *asm.Image
+	pol *glift.Policy
+}
+
+func (k *analysisKind) mode() string { return modeAnalyze }
+
+// writeKey hashes the target name and its netlist fingerprint, the
+// assembled image (entry point plus every segment) and the policy's
+// canonical JSON. The target selects the analyzed system itself, so it
+// participates in the key, while the wall-time knobs (Workers/Backend) do
+// not.
+func (k *analysisKind) writeKey(s *Server, h keyHash) {
+	_, fp := s.designFor(k.tgt)
+	h.Write([]byte(k.tgt.Name))
+	h.Write([]byte{0})
+	h.Write(fp[:])
+	h.put(k.img.Entry)
+	h.put(uint32(len(k.img.Segments)))
+	for _, seg := range k.img.Segments {
+		h.put(seg.Addr)
+		h.put(uint32(len(seg.Words)))
+		h.put(seg.Words)
+	}
+	h.Write(k.pol.CanonicalJSON())
+}
+
+// run executes one engine exploration. The run carries pprof labels (job
+// id, policy), so CPU and heap profiles taken through gliftd's -pprof
+// endpoint attribute samples to the job that burned them.
+func (k *analysisKind) run(ctx context.Context, s *Server, j *job, opt *glift.Options) (*cachedResult, runCost) {
+	opt.Progress = s.progressHook(j)
+	var rep *glift.Report
+	design, _ := s.designFor(k.tgt)
+	eng, err := glift.NewEngineOn(design, k.img, k.pol, opt)
+	if err != nil {
+		// Policy validation happens at submission time, so this is an
+		// internal construction failure; report it fail-closed.
+		rep = &glift.Report{Policy: k.pol.Name, Err: &glift.RunError{Reason: err.Error()}}
+	} else {
+		pprof.Do(ctx, pprof.Labels("glift_job", j.id, "glift_policy", k.pol.Name),
+			func(ctx context.Context) { rep = eng.RunContext(ctx) })
+	}
+	s.prom.runDur.With(rep.Verdict().String()).Observe(float64(rep.Stats.WallNanos) / 1e9)
+	return &cachedResult{rep: rep}, runCost{engineRuns: 1, cycles: rep.Stats.Cycles}
+}
+
+// decode rebuilds a stored report; ReportJSON.Report re-derives the verdict
+// and rejects a mismatch.
+func (k *analysisKind) decode(payload []byte) (*cachedResult, error) {
+	var rj glift.ReportJSON
+	if err := json.Unmarshal(payload, &rj); err != nil {
+		return nil, err
+	}
+	rep, err := rj.Report()
+	if err != nil {
+		return nil, err
+	}
+	return &cachedResult{rep: rep}, nil
 }

@@ -506,33 +506,74 @@ func TestJobKeySensitivity(t *testing.T) {
 	pol := &glift.Policy{Name: "a", TaintedInPorts: []int{0}}
 	opt := &glift.Options{}
 
-	base := s.jobKey(target.Default(), img, pol, opt, 0)
-	if s.jobKey(target.Default(), img, pol, opt, 0) != base {
+	base := s.jobKey(&analysisKind{tgt: target.Default(), img: img, pol: pol}, opt, 0)
+	if s.jobKey(&analysisKind{tgt: target.Default(), img: img, pol: pol}, opt, 0) != base {
 		t.Error("key not deterministic")
 	}
 	renamed := *pol
 	renamed.Name = "b"
-	if s.jobKey(target.Default(), img, &renamed, opt, 0) != base {
+	if s.jobKey(&analysisKind{tgt: target.Default(), img: img, pol: &renamed}, opt, 0) != base {
 		t.Error("policy display name must not change the key")
 	}
-	if s.jobKey(target.Default(), img2, pol, opt, 0) == base {
+	if s.jobKey(&analysisKind{tgt: target.Default(), img: img2, pol: pol}, opt, 0) == base {
 		t.Error("image change must change the key")
 	}
 	repol := &glift.Policy{Name: "a", TaintedInPorts: []int{1}}
-	if s.jobKey(target.Default(), img, repol, opt, 0) == base {
+	if s.jobKey(&analysisKind{tgt: target.Default(), img: img, pol: repol}, opt, 0) == base {
 		t.Error("policy change must change the key")
 	}
-	if s.jobKey(target.Default(), img, pol, &glift.Options{MaxCycles: 1000}, 0) == base {
+	if s.jobKey(&analysisKind{tgt: target.Default(), img: img, pol: pol}, &glift.Options{MaxCycles: 1000}, 0) == base {
 		t.Error("options change must change the key")
 	}
-	if s.jobKey(target.Default(), img, pol, opt, time.Second) == base {
+	if s.jobKey(&analysisKind{tgt: target.Default(), img: img, pol: pol}, opt, time.Second) == base {
 		t.Error("deadline change must change the key")
 	}
 	// Defaults spelled out explicitly hash like omitted defaults.
 	n := opt.Normalized()
-	if s.jobKey(target.Default(), img, pol, &glift.Options{MaxCycles: n.MaxCycles, MaxPathCycles: n.MaxPathCycles,
+	if s.jobKey(&analysisKind{tgt: target.Default(), img: img, pol: pol}, &glift.Options{MaxCycles: n.MaxCycles, MaxPathCycles: n.MaxPathCycles,
 		WidenAfter: n.WidenAfter, SoftMemBytes: n.SoftMemBytes, HardMemBytes: n.HardMemBytes}, 0) != base {
 		t.Error("explicit defaults must hash like omitted defaults")
+	}
+}
+
+// TestJobKeysPinned pins the content address of one submission per key
+// shape. Every store record is found by its key, so a key that moves
+// strands the records written under it; a change that alters a key on
+// purpose regenerates this table and says so.
+func TestJobKeysPinned(t *testing.T) {
+	c, _ := newTestClient(t, Config{Workers: 2, QueueDepth: 32})
+	tuned := repairReq()
+	tuned.Repair.Rounds = 3
+	tuned.Repair.Partition = "0x0400:0x0400"
+	tuned.Options = OptionsRequest{WidenAfter: 64}
+	cases := []struct {
+		name string
+		req  *JobRequest
+		key  string
+	}{
+		{"analysis", &JobRequest{Source: cleanSrc, Policy: PolicyRequest{Name: "p", TaintedInPorts: []int{0}}},
+			"260d98d27ca9681518fbe888ac6a3f6a2bdcb44ec5b984d7655af262633b2350"},
+		{"analysis with options", &JobRequest{Source: cleanSrc, Policy: PolicyRequest{Name: "p", TaintedInPorts: []int{0}},
+			Options: OptionsRequest{MaxCycles: 5000, DeadlineMS: 60000, Workers: 2}},
+			"3d1e0c79501c8f05c8105f04eac02c7b67fa4c4e49dff602c9be7528468126d8"},
+		{"analysis with tainted code", &JobRequest{Source: violSrc, Policy: violPolicy(t)},
+			"07eb2d365aa00eaaa4f25bf8bf04a877daa4584ece9d93fe1b629ad3ae1a28a9"},
+		{"rv32 analysis", &JobRequest{Target: "rv32", Source: "start:  li x5, 1\ndone:   j done\n", Policy: PolicyRequest{Name: "w"}},
+			"ac9cf8aa275750c7e3f59c56644957181b81776db5b09b550fea33fb74e44cf7"},
+		{"repair", repairReq(),
+			"2cce4f416348621d4d4679a7ad253e72a1e16f4d71780b898ea7ab4cf241f6fb"},
+		{"repair with knobs", tuned,
+			"f9c5e98778cf25dadcd8ce9f3ca01ec6f13772e5dfb109d641c7b371fda711cd"},
+	}
+	for _, tc := range cases {
+		code, st := c.do("POST", "/jobs", tc.req)
+		if code >= 400 && code != http.StatusConflict {
+			t.Errorf("%s: HTTP %d", tc.name, code)
+			continue
+		}
+		if st.Key != tc.key {
+			t.Errorf("%s: key %s, want %s", tc.name, st.Key, tc.key)
+		}
 	}
 }
 

@@ -100,7 +100,7 @@ func TestJobKeySeparatesTargets(t *testing.T) {
 	}
 	pol := &glift.Policy{Name: "x"}
 	opt := &glift.Options{}
-	if s.jobKey(target.Default(), img430, pol, opt, 0) == s.jobKey(rv, imgRV, pol, opt, 0) {
+	if s.jobKey(&analysisKind{tgt: target.Default(), img: img430, pol: pol}, opt, 0) == s.jobKey(&analysisKind{tgt: rv, img: imgRV, pol: pol}, opt, 0) {
 		t.Fatal("different targets produced the same job key")
 	}
 }
