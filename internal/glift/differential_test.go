@@ -122,7 +122,8 @@ func TestDifferentialScaffoldBenchmarks(t *testing.T) {
 
 // TestDifferentialWorkerSweep covers worker counts beyond the canonical
 // 1-vs-4 pair on a fork-heavy benchmark, including pools larger than the
-// path count, on both backends.
+// path count, on both backends. Each configuration is a named subtest, run
+// in turn, so -v prints its time.
 func TestDifferentialWorkerSweep(t *testing.T) {
 	bt, err := bench.BuildUnmodified(bench.ByName("binSearch"))
 	if err != nil {
@@ -132,10 +133,12 @@ func TestDifferentialWorkerSweep(t *testing.T) {
 	for _, be := range sim.Backends() {
 		for _, w := range []int{2, 3, 8} {
 			c := analysisConfig{backend: be, workers: w}
-			got := normalizedReportJSON(t, analyzeConfig(t, bt, c))
-			if string(got) != string(want) {
-				t.Errorf("%s report differs from %s:\n%s\nvs\n%s", c, refConfig, got, want)
-			}
+			t.Run(c.String(), func(t *testing.T) {
+				got := normalizedReportJSON(t, analyzeConfig(t, bt, c))
+				if string(got) != string(want) {
+					t.Errorf("%s report differs from %s:\n%s\nvs\n%s", c, refConfig, got, want)
+				}
+			})
 		}
 	}
 }

@@ -184,24 +184,10 @@ type Engine struct {
 	// snapBytes is the approximate footprint of one machine snapshot, the
 	// unit of the memory accounting.
 	snapBytes int64
-
-	// debugMerge, when set, observes every superstate widening.
-	debugMerge func(k forkKey, c *mcu.Snapshot)
 }
-
-// CurInstr returns the instruction address currently executing (diagnostics).
-func (e *Engine) CurInstr() uint16 { return e.curInstr }
 
 // SetTrace installs a per-cycle observer after construction.
 func (e *Engine) SetTrace(f func(e *Engine, ci *mcu.CycleInfo)) { e.opt.Trace = f }
-
-// DebugMerge installs a widening observer (diagnostics; reports the key and
-// the merged PC rendering).
-func (e *Engine) DebugMerge(f func(pc uint16, dir uint8, pcWord string)) {
-	e.debugMerge = func(k forkKey, c *mcu.Snapshot) {
-		f(k.pc, k.dir, e.Sys.SnapshotPC(c).String())
-	}
-}
 
 // NewEngine prepares a system for analysis: program loaded, policy taints
 // applied (tainted code partitions, initially tainted data, tainted ports).
@@ -350,18 +336,15 @@ func (e *Engine) RunContext(ctx context.Context) (rep *Report) {
 		ps := e.work[len(e.work)-1]
 		e.work = e.work[:len(e.work)-1]
 		e.report.Stats.Paths++
+		e.traceEvent(EvPathStart, ps.curInstr, len(e.work), "")
 		var tr *specTrace
 		if e.pool != nil {
 			tr = e.pool.take(ps.id)
 		}
 		if tr != nil {
-			e.traceEvent(EvPathStart, ps.curInstr, len(e.work), "")
 			e.replayTrace(ps, tr)
 		} else {
-			e.Sys.Restore(ps.snap)
-			e.curInstr = ps.curInstr
-			e.traceEvent(EvPathStart, ps.curInstr, len(e.work), "")
-			e.runPathFrom(0)
+			e.resume(ps.snap, ps.curInstr, 0)
 		}
 		e.traceEvent(EvPathEnd, e.curInstr, len(e.work), "")
 	}
@@ -419,79 +402,126 @@ func (e *Engine) noteMem() {
 	}
 }
 
-// runPathFrom simulates from the current state until the path is pruned,
-// forked, or abandoned. pathCycles seeds the straight-line budget counter:
-// 0 for a fresh path, or the cycles already replayed when the committer
-// resumes live execution in the middle of a speculated segment.
-func (e *Engine) runPathFrom(pathCycles uint64) {
-	for e.report.Stats.Cycles < e.opt.MaxCycles {
-		if pathCycles&1023 == 1023 && e.ctx.Err() != nil {
-			return // the outer loop records the cancellation
-		}
-		ci := e.Sys.EvalCycle(nil)
-		if ci.StateOK && ci.State == mcu.StFetch && ci.PmemOK {
-			e.curInstr = ci.PmemAddr
-		}
-		if !ci.PmemOK {
-			e.violation(PCUnresolved, e.curInstr, fmt.Sprintf("fetch address is unknown (pc=%s)", ci.PC))
+// pathSink receives the events of one path as runPath produces them. The
+// committer (*Engine) applies each to the report and the state table at
+// once; a speculation worker's recorder appends it to the segment's trace,
+// which replayTrace later hands to the committer's own methods.
+type pathSink interface {
+	// more is polled before each cycle with the path cycles committed so
+	// far; false stops the path.
+	more(cycles uint64) bool
+	// observe follows the policy check of every evaluated cycle; curInstr
+	// is the executing instruction.
+	observe(ci *mcu.CycleInfo, curInstr uint16)
+	// violation raises one policy or analysis violation.
+	violation(k Kind, pc uint16, detail string)
+	// advanceCycles accounts committed cycles.
+	advanceCycles(delta uint64)
+	// merge applies the conservative state table to a PC-changing commit's
+	// post-state and returns the state the path continues from, or nil when
+	// the path ends there.
+	merge(k forkKey, post *mcu.Snapshot) *mcu.Snapshot
+	// successor takes one committed successor of an unknown-PC cycle.
+	successor(k forkKey, post *mcu.Snapshot)
+	// pathBudget ends a path that exceeded the straight-line cycle budget.
+	pathBudget()
+}
+
+// runPath is Algorithm 1's per-path loop, the only place the engine
+// simulates a path. From sys's current state it evaluates cycle by cycle,
+// checks the fetch and the policy, forks on an unknown PC, commits, applies
+// the conservative state table at every PC-changing commit and enforces the
+// straight-line budget, handing each event to s, until the path is pruned,
+// forked or budgeted out, or s stops it. The committer runs it on e.Sys with
+// itself as the sink, a speculation worker on a private system with a
+// recorder. cycles seeds the straight-line budget counter: 0 for a fresh
+// path, or the cycles already replayed when the committer resumes live in
+// the middle of a speculated segment.
+func (e *Engine) runPath(sys *mcu.System, s pathSink, curInstr uint16, cycles uint64) {
+	chk := cycleChecker{sys: sys, pol: e.Pol, ramRange: e.ramRange, raise: s.violation}
+	for {
+		if cycles > e.opt.MaxPathCycles {
+			s.pathBudget()
 			return
 		}
-		e.checkCycle(ci)
-		if e.opt.Trace != nil {
-			e.opt.Trace(e, ci)
+		if !s.more(cycles) {
+			return
 		}
+		ci := sys.EvalCycle(nil)
+		if ci.StateOK && ci.State == mcu.StFetch && ci.PmemOK {
+			curInstr = ci.PmemAddr
+		}
+		if !ci.PmemOK {
+			s.violation(PCUnresolved, curInstr, fmt.Sprintf("fetch address is unknown (pc=%s)", ci.PC))
+			return
+		}
+		chk.check(ci, curInstr)
+		s.observe(ci, curInstr)
 		if ci.PCNext.XM != 0 || ci.POR.V == logic.X || ci.IrqTkn.V == logic.X {
 			// Input-dependent control flow, an uncertain watchdog reset, or
 			// an uncertain interrupt decision: concretize every direction
 			// (Algorithm 1 lines 29-37).
-			e.fork(ci)
+			forkOutcomes(sys, ci,
+				func(detail string) { s.violation(PCUnresolved, curInstr, detail) },
+				func(k forkKey, civ *mcu.CycleInfo) {
+					commitOn(sys, civ)
+					s.advanceCycles(1)
+					s.successor(k, sys.Snapshot())
+				})
 			return
 		}
-		e.commitCycle(ci)
-		pathCycles++
+		commitOn(sys, ci)
+		s.advanceCycles(1)
+		cycles++
 		if modifiesPC(e.design, ci) {
 			// Key the conservative state table on the committing cycle's PC
 			// (unique per commit site — including the reset vector load,
 			// whose PC is 0) plus the semantic control decisions.
-			if e.mergePoint(forkKey{pc: ci.PC.Val, state: stateCode(ci), dir: dirCode(ci.BranchTkn.V, ci.POR.V, ci.IrqTkn.V)}) {
-				return // pruned: this state (or a superstate) was explored
+			post := sys.Snapshot()
+			cont := s.merge(forkKey{pc: ci.PC.Val, state: stateCode(ci), dir: dirCode(ci.BranchTkn.V, ci.POR.V, ci.IrqTkn.V)}, post)
+			if cont == nil {
+				return
+			}
+			if cont != post {
+				sys.Restore(cont)
 			}
 		}
-		if pathCycles > e.opt.MaxPathCycles {
-			e.traceEvent(EvBudget, e.curInstr, len(e.work), "straight-line path cycle budget")
-			e.violation(AnalysisIncomplete, e.curInstr, "path exceeded straight-line cycle budget")
-			return
-		}
 	}
 }
 
-// commitCycle commits one evaluated cycle and enforces the paper's
-// control-flow recovery rule (Section 5.2): once the PC is tainted, only an
-// *untainted* power-on reset may untaint it. Architectural PC writes with
-// untainted data (a yield jump, a return through a clean stack frame, an
-// interrupt-style RETI) do not help, because *when* they execute is itself
-// attacker-influenced — so the engine re-taints the PC after any commit
-// that is not a clean reset.
-func (e *Engine) commitCycle(ci *mcu.CycleInfo) {
-	commitOn(e.Sys, ci, e.countCommit)
+// resume continues a path live on the committer's own system from snap.
+func (e *Engine) resume(snap *mcu.Snapshot, curInstr uint16, cycles uint64) {
+	e.Sys.Restore(snap)
+	e.curInstr = curInstr
+	e.runPath(e.Sys, e, curInstr, cycles)
 }
 
-// countCommit accounts one committed cycle against the report and drives
-// the progress cadence. Progress is counted in cycles since the last
-// emission, not in absolute cycle positions: commits also happen outside
-// runPathFrom's loop (fork concretization), so a boundary-position test
-// could be stepped over indefinitely and starve the hook on fork-heavy
-// runs.
-func (e *Engine) countCommit() {
-	e.report.Stats.Cycles++
-	if e.sinceEmit++; e.sinceEmit >= progressEvery {
-		e.emitProgress(false)
+// more is the committer's poll: the path runs while the run's cycle budget
+// lasts, and cancellation is checked every 1024 path cycles (the outer loop
+// records it).
+func (e *Engine) more(cycles uint64) bool {
+	if cycles&1023 == 1023 && e.ctx.Err() != nil {
+		return false
+	}
+	return e.report.Stats.Cycles < e.opt.MaxCycles
+}
+
+// observe tracks the executing instruction and feeds the per-cycle Trace
+// hook.
+func (e *Engine) observe(ci *mcu.CycleInfo, curInstr uint16) {
+	e.curInstr = curInstr
+	if e.opt.Trace != nil {
+		e.opt.Trace(e, ci)
 	}
 }
 
-// advanceCycles accounts delta already-simulated cycles at once — the
-// committer's bulk form of countCommit when it replays a speculated
-// segment whose cycles were simulated on a worker.
+// advanceCycles accounts delta committed cycles against the report and
+// drives the progress cadence: one at a time on a live path, in bulk when
+// the committer replays a segment a worker simulated. Progress is counted
+// in cycles since the last emission, not in absolute cycle positions:
+// fork-successor commits and replays advance the count in steps that a
+// boundary-position test could step over indefinitely, starving the hook on
+// fork-heavy runs.
 func (e *Engine) advanceCycles(delta uint64) {
 	e.report.Stats.Cycles += delta
 	if e.sinceEmit += delta; e.sinceEmit >= progressEvery {
@@ -499,13 +529,43 @@ func (e *Engine) advanceCycles(delta uint64) {
 	}
 }
 
-// commitOn commits one evaluated cycle on sys and applies the re-taint
-// rule; onCommitted (the engine's cycle accounting, or a speculation
-// worker's local counter) runs between the commit and the re-taint.
-func commitOn(sys *mcu.System, ci *mcu.CycleInfo, onCommitted func()) {
+// merge applies the conservative state table at a merge point (see
+// pathSink.merge).
+func (e *Engine) merge(k forkKey, post *mcu.Snapshot) *mcu.Snapshot {
+	switch oc, cont := e.tableApply(k, post); oc {
+	case tablePruned:
+		return nil
+	case tableWidened:
+		return cont
+	case tableInserted:
+		e.noteMem()
+	}
+	return post
+}
+
+// successor enqueues one fork successor, through the state table.
+func (e *Engine) successor(k forkKey, post *mcu.Snapshot) {
+	e.report.Stats.Forks++
+	e.push(post, e.curInstr, k, true)
+	e.traceEvent(EvFork, k.pc, len(e.work), "")
+}
+
+// pathBudget abandons the current path at the straight-line cycle budget.
+func (e *Engine) pathBudget() {
+	e.traceEvent(EvBudget, e.curInstr, len(e.work), "straight-line path cycle budget")
+	e.violation(AnalysisIncomplete, e.curInstr, "path exceeded straight-line cycle budget")
+}
+
+// commitOn commits one evaluated cycle on sys and enforces the paper's
+// control-flow recovery rule (Section 5.2): once the PC is tainted, only an
+// *untainted* power-on reset may untaint it. Architectural PC writes with
+// untainted data (a yield jump, a return through a clean stack frame, an
+// interrupt-style RETI) do not help, because *when* they execute is itself
+// attacker-influenced — so the PC is re-tainted after any commit that is
+// not a clean reset.
+func commitOn(sys *mcu.System, ci *mcu.CycleInfo) {
 	pcWasTainted := ci.PC.TT != 0
 	sys.Commit(ci)
-	onCommitted()
 	cleanReset := ci.POR.V == logic.One && !ci.POR.T
 	if pcWasTainted && !cleanReset {
 		for _, bit := range sys.D.PC {
@@ -549,8 +609,8 @@ const (
 )
 
 // tableApply runs the conservative-state-table protocol for key k against
-// post — the single authority shared by merge points, successor pushes and
-// speculation replay, so all three stay byte-for-byte equivalent.
+// post — the single authority shared by merge points (live or replayed) and
+// fork-successor pushes, so both stay byte-for-byte equivalent.
 //
 // Snapshots are immutable once the engine holds them, so the table keeps
 // post itself on insert and replace (it may also sit in the work queue or
@@ -578,9 +638,6 @@ func (e *Engine) tableApply(k forkKey, post *mcu.Snapshot) (tableOutcome, *mcu.S
 		c.snap = merged
 		e.report.Stats.Merges++
 		e.traceEvent(EvMerge, k.pc, len(e.table), "")
-		if e.debugMerge != nil {
-			e.debugMerge(k, c.snap)
-		}
 		return tableWidened, c.snap
 	}
 	e.table[k] = &tableEntry{snap: post, visits: 1}
@@ -588,50 +645,19 @@ func (e *Engine) tableApply(k forkKey, post *mcu.Snapshot) (tableOutcome, *mcu.S
 	return tableInserted, nil
 }
 
-// mergePoint applies the conservative state table after committing a
-// PC-changing cycle. It returns true when the path should stop (the state
-// is covered by what has already been explored); otherwise the simulation
-// continues from the (possibly widened) conservative superstate.
-func (e *Engine) mergePoint(k forkKey) bool {
-	switch oc, cont := e.tableApply(k, e.Sys.Snapshot()); oc {
-	case tablePruned:
-		return true
-	case tableWidened:
-		e.Sys.Restore(cont)
-	case tableInserted:
-		e.noteMem()
-	}
-	return false
-}
-
-// fork concretizes an unknown PC-next value by re-evaluating the cycle with
-// the unknown control decisions forced to each combination of concrete
-// values (keeping their taint, so a tainted condition taints the PC on both
-// paths), then enqueues the surviving successor states. Two decision nets
-// can make the PC unknown: the branch_taken probe (input-dependent
-// conditional control flow) and the power-on-reset (a watchdog expiry whose
-// countdown state was widened to X by conservative merging — the reset may
-// or may not fire this cycle, so both worlds are explored).
-func (e *Engine) fork(ci *mcu.CycleInfo) {
-	forkOutcomes(e.Sys, ci,
-		func(detail string) {
-			e.violation(PCUnresolved, e.curInstr, detail)
-		},
-		func(k forkKey, civ *mcu.CycleInfo) {
-			e.commitCycle(civ)
-			e.report.Stats.Forks++
-			e.push(e.Sys.Snapshot(), e.curInstr, k, true)
-			e.traceEvent(EvFork, k.pc, len(e.work), "")
-		})
-}
-
-// forkOutcomes enumerates every concretization of an unknown-PC cycle in a
-// fixed deterministic order, shared by the live engine and the speculation
-// workers. For each combination it either reports an unresolved target
-// (onUnresolved, with the violation detail) or evaluates the forced cycle
-// and hands it to onSucc, which must commit it; sys is left in the last
-// combination's state. The first combination runs without a restore:
-// EvalCycle commits nothing, so sys still holds the pre-fork state.
+// forkOutcomes concretizes an unknown PC-next value by re-evaluating the
+// cycle with the unknown control decisions forced to each combination of
+// concrete values, in a fixed deterministic order (keeping their taint, so
+// a tainted condition taints the PC on both paths). The decisions are the
+// branch_taken probe (input-dependent conditional control flow), the
+// power-on reset (a watchdog expiry whose countdown state was widened to X
+// by conservative merging — the reset may or may not fire this cycle, so
+// both worlds are explored) and the interrupt entry. For each combination
+// it either reports an unresolved target (onUnresolved, with the violation
+// detail) or evaluates the forced cycle and hands it to onSucc, which must
+// commit it; sys is left in the last combination's state. The first
+// combination runs without a restore: EvalCycle commits nothing, so sys
+// still holds the pre-fork state.
 func forkOutcomes(sys *mcu.System, ci *mcu.CycleInfo,
 	onUnresolved func(detail string), onSucc func(k forkKey, civ *mcu.CycleInfo)) {
 	pre := sys.Snapshot()
@@ -751,7 +777,7 @@ func (e *Engine) push(post *mcu.Snapshot, curInstr uint16, k forkKey, applyTable
 // port register is tainted, every later cycle re-observes it; those
 // deduplicate on the kind alone so only the first (root-cause) report
 // survives. Shared with the speculation workers, whose local deduplication
-// must drop exactly the raises the live engine would drop.
+// must drop exactly the raises the committer would drop.
 func violationDedupKey(k Kind, pc uint16) Violation {
 	if k == WatchdogTainted || k == OutputPortTainted || k == C1TaintedState {
 		pc = 0
@@ -786,20 +812,14 @@ func anyTainted(v *mcu.System, nets []netlist.NetID) bool {
 }
 
 // cycleChecker evaluates the per-cycle policy conditions against one
-// simulation instance, raising violations through a pluggable sink. The
-// live engine raises into its report; speculation workers record raises
-// into their segment trace for deterministic replay.
+// simulation instance, raising violations into the path's sink: the
+// committer's report, or a speculation worker's segment trace for
+// deterministic replay.
 type cycleChecker struct {
 	sys      *mcu.System
 	pol      *Policy
 	ramRange AddrRange
 	raise    func(k Kind, pc uint16, detail string)
-}
-
-// checkCycle runs the policy checks on the engine's own system.
-func (e *Engine) checkCycle(ci *mcu.CycleInfo) {
-	c := cycleChecker{sys: e.Sys, pol: e.Pol, ramRange: e.ramRange, raise: e.violation}
-	c.check(ci, e.curInstr)
 }
 
 func (c *cycleChecker) check(ci *mcu.CycleInfo, curInstr uint16) {

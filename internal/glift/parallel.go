@@ -1,11 +1,9 @@
 package glift
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/logic"
 	"repro/internal/mcu"
 )
 
@@ -21,20 +19,20 @@ import (
 // The engine therefore parallelizes the expensive part (gate-level
 // simulation) while keeping the table protocol strictly sequential:
 //
-//   - N-1 speculation workers pull queued pathStates and simulate them
-//     table-blind on private mcu.System instances, recording a trace: the
-//     post-state snapshot at every PC-changing commit, the violations
-//     raised in between, and how the segment ended (fork, abandonment,
-//     truncation).
+//   - N-1 speculation workers pull queued pathStates and run the committer's
+//     own per-path loop (runPath) on private mcu.System instances, with a
+//     recorder as its sink instead of the table: the trace holds the
+//     post-state snapshot at every PC-changing commit, the violations raised
+//     in between, and the events that ended the segment (the straight-line
+//     budget, fork successors) — or marks it truncated.
 //   - The committer (the RunContext goroutine) pops the work queue in
 //     normal DFS order. When a completed trace exists for the popped item
-//     it replays the recorded table operations through the same
-//     tableApply/push protocol the live path uses — at snapshot-compare
-//     speed instead of simulation speed. The moment the authoritative
-//     table disagrees with what the speculation assumed (a prune, or a
-//     widen that changes the continuation state), the remaining trace is
-//     discarded and the committer resumes live simulation from the last
-//     recorded snapshot.
+//     it hands the recorded events to the same methods the live path calls
+//     — at snapshot-compare speed instead of simulation speed. The moment
+//     the authoritative table disagrees with what the speculation assumed
+//     (a prune, or a widen that changes the continuation state), the
+//     remaining trace is discarded and the committer resumes live
+//     simulation from the last recorded snapshot.
 //
 // Speculation is sound because table feedback into a running path happens
 // only at a widen (the path continues from the merged superstate) — and
@@ -58,8 +56,8 @@ type SchedStats struct {
 	Steals uint64
 	// SpecUsed counts speculated traces the committer replayed.
 	SpecUsed uint64
-	// SpecWasted counts speculated segments discarded before use (the
-	// committer reached the item first, or the run ended).
+	// SpecWasted counts claimed segments the committer reached before their
+	// speculation finished, once each; the worker's time on them is lost.
 	SpecWasted uint64
 }
 
@@ -74,60 +72,42 @@ const (
 	specTaken
 )
 
-// specEvent is one recorded violation raise (or, with budget set, the
-// EvBudget trace marker that precedes the straight-line-budget violation),
-// stamped with the segment-relative committed-cycle count at raise time.
+// specEvent is one recorded runner event other than a merge point: a
+// violation raise, the straight-line budget crossing (budget set) or a fork
+// successor (post set). cycles is the segment's committed-cycle count when
+// it happened and curInstr the executing instruction.
 type specEvent struct {
-	cycles uint64
-	kind   Kind
-	pc     uint16
-	detail string
-	budget bool
+	cycles   uint64
+	curInstr uint16
+	kind     Kind
+	pc       uint16
+	detail   string
+	budget   bool
+	key      forkKey
+	post     *mcu.Snapshot
 }
 
-// specOp is one recorded PC-changing commit: the table key, the post-commit
-// machine state, and everything observed since the previous op.
+// specOp is one recorded PC-changing commit: the events since the previous
+// op, the table key and the post-commit machine state.
 type specOp struct {
+	events   []specEvent
 	key      forkKey
 	post     *mcu.Snapshot
 	curInstr uint16
 	cycles   uint64 // segment cycles committed, including this op's cycle
-	events   []specEvent
 }
 
-// specAction is one fork-combination outcome, in enumeration order: either
-// an unresolved-PC violation (viol set) or a committed successor state.
-type specAction struct {
-	viol *specEvent
-	key  forkKey
-	snap *mcu.Snapshot
-}
-
-// specEnd tells the committer how a speculated segment terminated.
-type specEnd uint8
-
-const (
-	// endTruncated: the worker stopped early (self-covering loop, op or
-	// byte cap, global-cycle bound); resume live from the last op.
-	endTruncated specEnd = iota
-	// endPathDone: the path ended in a violation (unresolved fetch or the
-	// straight-line cycle budget); preEnd carries the terminal events.
-	endPathDone
-	// endFork: the path reached an unknown-PC cycle; fork holds the
-	// concretized outcomes.
-	endFork
-)
-
-// specTrace is the complete record of one speculated segment.
+// specTrace is the record of one speculated segment. A segment is either
+// done — it ran to the end of its path, and tail holds the events after its
+// last op, ending with the budget crossing, the unknown fetch or the fork
+// outcomes that ended it — or truncated, and the committer resumes live from
+// its last op.
 type specTrace struct {
-	ops    []specOp
-	preEnd []specEvent // events after the last op, including terminal ones
-	end    specEnd
-	// endCycles is the segment cycle count when the terminal cycle was
-	// evaluated (commits before it, excluding fork-successor commits).
+	ops       []specOp
+	tail      []specEvent
+	truncated bool
+	// endCycles is the segment cycles committed when its last cycle began.
 	endCycles uint64
-	endInstr  uint16
-	fork      []specAction
 	bytes     int64 // snapshot bytes accounted against the pool budget
 }
 
@@ -319,9 +299,9 @@ func (p *specPool) publish(it *specItem, tr *specTrace) {
 	p.specBytes.Add(tr.bytes)
 	it.trace = tr
 	if !it.state.CompareAndSwap(specClaimed, specDone) {
-		// The committer reached the item while we simulated it.
+		// The committer reached the item while we simulated it; take
+		// counted the waste.
 		p.specBytes.Add(-tr.bytes)
-		p.wasted.Add(1)
 	}
 }
 
@@ -339,118 +319,107 @@ func (p *specPool) speculateSafe(sys *mcu.System, it *specItem) (tr *specTrace) 
 }
 
 // speculate simulates one queued path state table-blind, recording the
-// trace the committer needs to replay it deterministically. It mirrors
-// runPathFrom cycle for cycle; the only table it consults is its own
-// segment-local one (selfTab), used purely to stop simulating loops that
-// will certainly prune. Returns nil when the segment was abandoned
-// (committer took the item, or the pool stopped).
+// trace the committer needs to replay it deterministically. Returns nil when
+// the segment was abandoned (committer took the item, or the pool stopped).
 func (p *specPool) speculate(sys *mcu.System, it *specItem) *specTrace {
-	e := p.e
 	sys.Restore(it.snap)
-	tr := &specTrace{}
-	var cycles uint64
-	curInstr := it.curInstr
-	var pending []specEvent
-	seen := make(map[Violation]bool)
-	selfTab := make(map[forkKey]*mcu.Snapshot)
+	r := &recorder{p: p, it: it, tr: &specTrace{}, curInstr: it.curInstr,
+		seen: make(map[Violation]bool), self: make(map[forkKey]*mcu.Snapshot)}
+	p.e.runPath(sys, r, it.curInstr, 0)
+	if r.abandoned {
+		return nil
+	}
+	return r.tr
+}
 
-	raise := func(k Kind, pc uint16, detail string) {
-		key := violationDedupKey(k, pc)
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		pending = append(pending, specEvent{cycles: cycles, kind: k, pc: pc, detail: detail})
-	}
-	chk := cycleChecker{sys: sys, pol: e.Pol, ramRange: e.ramRange, raise: raise}
-	truncate := func() *specTrace {
-		tr.end = endTruncated
-		tr.endCycles = cycles
-		tr.endInstr = curInstr
-		return tr
-	}
+// recorder is a speculation worker's pathSink: it appends every event to
+// the segment's trace and keeps the stop rules that belong to workers —
+// abandonment, truncation where the committer will almost certainly prune,
+// and the op, byte and cycle caps. The only table it consults is the
+// segment's own (self), used purely to stop simulating loops that will
+// certainly prune.
+type recorder struct {
+	p         *specPool
+	it        *specItem
+	tr        *specTrace
+	cycles    uint64 // segment cycles committed
+	curInstr  uint16
+	seen      map[Violation]bool
+	self      map[forkKey]*mcu.Snapshot
+	abandoned bool
+}
 
-	for {
-		// An atomic load per cycle is noise next to a netlist evaluation,
-		// and abandoning a segment the committer already passed frees this
-		// worker for an item whose trace can still arrive in time.
-		if it.state.Load() == specTaken || p.done.Load() {
-			return nil
-		}
-		ci := sys.EvalCycle(nil)
-		if ci.StateOK && ci.State == mcu.StFetch && ci.PmemOK {
-			curInstr = ci.PmemAddr
-		}
-		if !ci.PmemOK {
-			raise(PCUnresolved, curInstr, fmt.Sprintf("fetch address is unknown (pc=%s)", ci.PC))
-			tr.preEnd, tr.end, tr.endCycles, tr.endInstr = pending, endPathDone, cycles, curInstr
-			return tr
-		}
-		chk.check(ci, curInstr)
-		if ci.PCNext.XM != 0 || ci.POR.V == logic.X || ci.IrqTkn.V == logic.X {
-			tr.preEnd, tr.endCycles, tr.endInstr = pending, cycles, curInstr
-			pending = nil
-			forkOutcomes(sys, ci,
-				func(detail string) {
-					key := violationDedupKey(PCUnresolved, curInstr)
-					if seen[key] {
-						return
-					}
-					seen[key] = true
-					tr.fork = append(tr.fork, specAction{
-						viol: &specEvent{kind: PCUnresolved, pc: curInstr, detail: detail},
-					})
-				},
-				func(k forkKey, civ *mcu.CycleInfo) {
-					commitOn(sys, civ, func() { cycles++ })
-					tr.fork = append(tr.fork, specAction{key: k, snap: sys.Snapshot()})
-					tr.bytes += e.snapBytes
-				})
-			tr.end = endFork
-			return tr
-		}
-		commitOn(sys, ci, func() { cycles++ })
-		if modifiesPC(e.design, ci) {
-			k := forkKey{pc: ci.PC.Val, state: stateCode(ci), dir: dirCode(ci.BranchTkn.V, ci.POR.V, ci.IrqTkn.V)}
-			post := sys.Snapshot()
-			tr.ops = append(tr.ops, specOp{key: k, post: post, curInstr: curInstr, cycles: cycles, events: pending})
-			pending = nil
-			tr.bytes += e.snapBytes
-			if e.tableCovers(k, post) {
-				// The authoritative table already covers this state: the
-				// committer will almost certainly prune at this op, so
-				// simulating further is almost certainly waste. This read
-				// is advisory — it decides only where the trace stops,
-				// never what it contains, so a stale answer costs time,
-				// not determinism.
-				return truncate()
-			}
-			if prev, ok := selfTab[k]; ok && post.SubstateOf(prev) {
-				// The segment revisits its own merge point with a covered
-				// state: the authoritative table will prune here too (its
-				// entry covers at least as much), so simulating further is
-				// pure waste.
-				return truncate()
-			}
-			selfTab[k] = post
-			if len(tr.ops) >= maxSpecOps || p.specBytes.Load()+tr.bytes > p.budget {
-				return truncate()
-			}
-		}
-		if cycles > e.opt.MaxPathCycles {
-			pending = append(pending, specEvent{
-				cycles: cycles, pc: curInstr, detail: "straight-line path cycle budget", budget: true,
-			})
-			raise(AnalysisIncomplete, curInstr, "path exceeded straight-line cycle budget")
-			tr.preEnd, tr.end, tr.endCycles, tr.endInstr = pending, endPathDone, cycles, curInstr
-			return tr
-		}
-		if cycles >= e.opt.MaxCycles {
-			// The segment alone exceeds the whole run's cycle budget;
-			// whatever the committer does, it will stop inside this stretch.
-			return truncate()
-		}
+func (r *recorder) more(cycles uint64) bool {
+	// An atomic load per cycle is noise next to a netlist evaluation, and
+	// abandoning a segment the committer already passed frees this worker
+	// for an item whose trace can still arrive in time.
+	if r.it.state.Load() == specTaken || r.p.done.Load() {
+		r.abandoned = true
+		return false
 	}
+	r.tr.endCycles = cycles
+	if cycles >= r.p.e.opt.MaxCycles {
+		// The segment alone exceeds the whole run's cycle budget; whatever
+		// the committer does, it will stop inside this stretch.
+		r.tr.truncated = true
+		return false
+	}
+	return true
+}
+
+func (r *recorder) observe(_ *mcu.CycleInfo, curInstr uint16) { r.curInstr = curInstr }
+
+func (r *recorder) advanceCycles(delta uint64) { r.cycles += delta }
+
+// violation records a raise unless the segment already raised it, dropping
+// exactly the raises the committer's deduplication would drop.
+func (r *recorder) violation(k Kind, pc uint16, detail string) {
+	key := violationDedupKey(k, pc)
+	if r.seen[key] {
+		return
+	}
+	r.seen[key] = true
+	r.record(specEvent{kind: k, pc: pc, detail: detail})
+}
+
+func (r *recorder) successor(k forkKey, post *mcu.Snapshot) {
+	r.record(specEvent{key: k, post: post})
+	r.tr.bytes += r.p.e.snapBytes
+}
+
+func (r *recorder) pathBudget() { r.record(specEvent{budget: true}) }
+
+// record appends an event to the stretch since the last op.
+func (r *recorder) record(ev specEvent) {
+	ev.cycles, ev.curInstr = r.cycles, r.curInstr
+	r.tr.tail = append(r.tr.tail, ev)
+}
+
+// merge records an op; the segment goes on from post unless a stop rule
+// truncates it here.
+func (r *recorder) merge(k forkKey, post *mcu.Snapshot) *mcu.Snapshot {
+	r.tr.ops = append(r.tr.ops, specOp{events: r.tr.tail, key: k, post: post, curInstr: r.curInstr, cycles: r.cycles})
+	r.tr.tail = nil
+	r.tr.bytes += r.p.e.snapBytes
+	prev, ok := r.self[k]
+	switch {
+	case r.p.e.tableCovers(k, post):
+		// The authoritative table already covers this state: the
+		// committer will almost certainly prune at this op, so
+		// simulating further is almost certainly waste. This read is
+		// advisory — it decides only where the trace stops, never what
+		// it contains, so a stale answer costs time, not determinism.
+	case ok && post.SubstateOf(prev):
+		// The segment revisits its own merge point with a covered state:
+		// the authoritative table will prune here too (its entry covers
+		// at least as much), so simulating further is pure waste.
+	case len(r.tr.ops) >= maxSpecOps || r.p.specBytes.Load()+r.tr.bytes > r.p.budget:
+	default:
+		r.self[k] = post
+		return post
+	}
+	r.tr.truncated = true
+	return nil
 }
 
 // tableCovers reports whether the authoritative table entry at k already
@@ -468,14 +437,15 @@ func (e *Engine) tableCovers(k forkKey, post *mcu.Snapshot) bool {
 	return ok && post.SubstateOf(c.snap)
 }
 
-// replayTrace commits one speculated segment: it re-applies the recorded
-// merge points to the authoritative state table in exact sequential order,
-// emits the recorded violations and trace events with their exact cycle
-// stamps, and falls back to live simulation the moment the table's verdict
-// diverges from what the speculation could assume (a prune ends the path; a
-// widen resumes it live from the merged superstate; a global-budget
-// crossing finishes the stretch cycle by cycle so the stop lands exactly
-// where the sequential run stops).
+// replayTrace commits one speculated segment: it hands the recorded events
+// and merge points to the committer's own pathSink methods in exact
+// sequential order, with their exact cycle stamps, and falls back to live
+// simulation where the table's verdict diverges from what the speculation
+// could assume (a prune ends the path; a widen resumes it live from the
+// merged superstate), where the trace was truncated, and where the
+// global cycle budget ends the run inside a recorded stretch (finished live
+// so the stop lands exactly where the sequential run stops). A stretch is
+// replayed only if its last cycle begins inside that budget.
 func (e *Engine) replayTrace(ps pathState, tr *specTrace) {
 	segBase := e.report.Stats.Cycles
 	committed := uint64(0)
@@ -485,103 +455,55 @@ func (e *Engine) replayTrace(ps pathState, tr *specTrace) {
 			committed = c
 		}
 	}
-	emit := func(ev *specEvent) {
-		advanceTo(ev.cycles)
-		if ev.budget {
-			e.traceEvent(EvBudget, ev.pc, len(e.work), ev.detail)
-			return
+	replay := func(evs []specEvent) {
+		for i := range evs {
+			ev := &evs[i]
+			advanceTo(ev.cycles)
+			e.curInstr = ev.curInstr
+			switch {
+			case ev.budget:
+				e.pathBudget()
+			case ev.post != nil:
+				e.successor(ev.key, ev.post)
+			default:
+				e.violation(ev.kind, ev.pc, ev.detail)
+			}
 		}
-		e.violation(ev.kind, ev.pc, ev.detail)
 	}
-	// resumeAt switches to live simulation from a recorded state. The
-	// straight-line budget is checked first because the sequential loop
-	// checks it after the merge point that replay just applied.
-	resumeAt := func(snap *mcu.Snapshot, curInstr uint16, pathCycles uint64) {
-		e.Sys.Restore(snap)
-		e.curInstr = curInstr
-		if pathCycles > e.opt.MaxPathCycles {
-			e.traceEvent(EvBudget, e.curInstr, len(e.work), "straight-line path cycle budget")
-			e.violation(AnalysisIncomplete, e.curInstr, "path exceeded straight-line cycle budget")
-			return
-		}
-		e.runPathFrom(pathCycles)
-	}
-	// resumeLast resumes from the most recent recorded op (or the segment
-	// start when nothing was recorded yet).
-	resumeLast := func() {
-		if n := len(tr.ops); n > 0 {
-			o := &tr.ops[n-1]
-			resumeAt(o.post, o.curInstr, o.cycles)
-			return
-		}
-		resumeAt(ps.snap, ps.curInstr, 0)
-	}
-
+	// The last applied op (initially the segment start) is where live
+	// execution resumes.
+	snap, curInstr, cycles := ps.snap, ps.curInstr, uint64(0)
 	for i := range tr.ops {
 		op := &tr.ops[i]
 		if e.ctx.Err() != nil {
 			return // the outer loop records the cancellation
 		}
 		if segBase+op.cycles > e.opt.MaxCycles {
-			// This op's stretch crosses the global cycle budget: finish it
-			// live so the run stops on the exact cycle the sequential
-			// exploration would.
-			if i == 0 {
-				resumeAt(ps.snap, ps.curInstr, 0)
-			} else {
-				prev := &tr.ops[i-1]
-				resumeAt(prev.post, prev.curInstr, prev.cycles)
-			}
+			e.resume(snap, curInstr, cycles)
 			return
 		}
-		for j := range op.events {
-			emit(&op.events[j])
-		}
+		replay(op.events)
 		advanceTo(op.cycles)
 		e.curInstr = op.curInstr
-		switch oc, cont := e.tableApply(op.key, op.post); oc {
-		case tablePruned:
+		cont := e.merge(op.key, op.post)
+		if cont == nil {
 			return
-		case tableInserted:
-			e.noteMem()
-		case tableWidened:
+		}
+		snap, curInstr, cycles = cont, op.curInstr, op.cycles
+		if cont != op.post {
 			// The table continues from the merged superstate, which the
 			// table-blind speculation could not know; the rest of the
 			// trace no longer applies.
-			resumeAt(cont, op.curInstr, op.cycles)
+			e.resume(snap, curInstr, cycles)
 			return
 		}
 	}
 	if e.ctx.Err() != nil {
 		return
 	}
-	if tr.end == endTruncated {
-		resumeLast()
+	if tr.truncated || segBase+tr.endCycles >= e.opt.MaxCycles {
+		e.resume(snap, curInstr, cycles)
 		return
 	}
-	if segBase+tr.endCycles >= e.opt.MaxCycles {
-		// The trailing stretch reaches (or crosses) the global budget
-		// before the terminal cycle could execute: replay it live for an
-		// exact stop.
-		resumeLast()
-		return
-	}
-	for j := range tr.preEnd {
-		emit(&tr.preEnd[j])
-	}
-	advanceTo(tr.endCycles)
-	e.curInstr = tr.endInstr
-	if tr.end == endFork {
-		for i := range tr.fork {
-			a := &tr.fork[i]
-			if a.viol != nil {
-				e.violation(a.viol.kind, a.viol.pc, a.viol.detail)
-				continue
-			}
-			e.advanceCycles(1)
-			e.report.Stats.Forks++
-			e.push(a.snap, e.curInstr, a.key, true)
-			e.traceEvent(EvFork, a.key.pc, len(e.work), "")
-		}
-	}
+	replay(tr.tail)
 }

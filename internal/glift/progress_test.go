@@ -66,14 +66,15 @@ end:    jmp end
 	}
 }
 
-// TestProgressForkHeavyCadence: cycles committed during fork concretization
-// happen outside runPath's loop, so a cadence test on absolute cycle
-// positions could be stepped over indefinitely. Counting cycles since the
-// last emission must keep intermediate snapshots flowing on fork-heavy runs.
+// TestProgressForkHeavyCadence: a fork commits one cycle per successor on
+// top of the cycle count its path reached, so a cadence test on absolute
+// cycle positions could be stepped over indefinitely. Counting cycles since
+// the last emission must keep intermediate snapshots flowing on fork-heavy
+// runs.
 func TestProgressForkHeavyCadence(t *testing.T) {
 	// The tainted flag makes every jnz fork into two briefly-divergent
-	// successors, so a large share of all cycle commits happens inside the
-	// fork path rather than runPath's main loop. Shrinking the cadence keeps
+	// successors, so a large share of all cycle commits are fork-successor
+	// commits rather than straight-line ones. Shrinking the cadence keeps
 	// the (exponential) benchmark small while still crossing the granularity
 	// dozens of times.
 	defer func(prev uint64) { progressEvery = prev }(progressEvery)

@@ -28,7 +28,6 @@ type System struct {
 	rst    logic.Sig
 	portIn [NumPorts]sim.Word
 	events []string       // unusual accesses (unmapped, fetch outside ROM, ...)
-	pcDFF  []int          // lazily built PC bit -> DFF index map (diagnostics)
 	vcd    *sim.VCDWriter // optional waveform dump, sampled at each commit
 	mem    memIO          // behavioural memory model bound to C/ROM/RAM
 }
@@ -302,33 +301,6 @@ func (s *System) Snapshot() *Snapshot {
 // number of retained snapshots rather than tracking allocations).
 func (s *System) SnapshotBytes() int64 {
 	return int64(len(s.D.NL.DFFs)) + s.RAM.FootprintBytes() + 64
-}
-
-// SnapshotPC extracts the PC register value from a snapshot (diagnostics).
-func (s *System) SnapshotPC(sn *Snapshot) sim.Word {
-	if s.pcDFF == nil {
-		idx := map[netlist.NetID]int{}
-		for i, d := range s.D.NL.DFFs {
-			idx[d.Q] = i
-		}
-		for _, bit := range s.D.PC {
-			s.pcDFF = append(s.pcDFF, idx[bit])
-		}
-	}
-	var w sim.Word
-	for i, di := range s.pcDFF {
-		sg := logic.Unpack(sn.DFF[di])
-		switch sg.V {
-		case logic.One:
-			w.Val |= 1 << uint(i)
-		case logic.X:
-			w.XM |= 1 << uint(i)
-		}
-		if sg.T {
-			w.TT |= 1 << uint(i)
-		}
-	}
-	return w
 }
 
 // Restore reinstates a snapshot.

@@ -47,12 +47,6 @@ done:   jmp done
 	if !strings.Contains(out, "1!") && !strings.Contains(out, "1#") {
 		t.Fatal("no branch activity recorded")
 	}
-	// SnapshotPC agrees with the live PC.
-	s.EvalCycle(nil)
-	sn := s.Snapshot()
-	if got, live := s.SnapshotPC(sn), s.GetWord(s.D.PC); got != live {
-		t.Fatalf("SnapshotPC %s != live %s", got, live)
-	}
 	// Fetch from the tainted partition: the fetched word carries the label.
 	if w := s.ROM.LoadWord(img.Entry); !w.Tainted() {
 		t.Fatal("TaintCode label lost")
