@@ -160,7 +160,7 @@ func evaluations(b *testing.B) []*bench.Evaluation {
 	b.Helper()
 	evalOnce.Do(func() {
 		for _, bm := range bench.All() {
-			ev, err := bench.Evaluate(bm, nil)
+			ev, err := bench.Evaluate(bm)
 			if err != nil {
 				evalErr = err
 				return

@@ -13,6 +13,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/asm"
 	"repro/internal/bench"
 	"repro/internal/energy"
 	"repro/internal/glift"
@@ -78,7 +79,7 @@ func evaluations() []*bench.Evaluation {
 		return evalCache
 	}
 	fmt.Fprintln(os.Stderr, "evaluating all benchmarks...")
-	evs, err := bench.EvaluateAll(nil)
+	evs, err := bench.EvaluateAll()
 	if err != nil {
 		fatal(err)
 	}
@@ -191,7 +192,7 @@ tend:   nop
 func figure9() {
 	fmt.Println("== Figure 9: software masked addressing ==")
 	run := func(name, src, expect string) {
-		img, err := asmSource(src)
+		img, err := asm.AssembleSource(src)
 		if err != nil {
 			fatal(err)
 		}
@@ -239,7 +240,7 @@ done:   jmp done
 }
 
 func analyzeSrc(src string, taintCode bool) (*glift.Report, error) {
-	img, err := asmSource(src)
+	img, err := asm.AssembleSource(src)
 	if err != nil {
 		return nil, err
 	}
@@ -250,9 +251,9 @@ func analyzeSrc(src string, taintCode bool) (*glift.Report, error) {
 	}
 	if taintCode {
 		pol.TaintCodeWords = true
-		pol.TaintedCode = []glift.AddrRange{{Lo: mustSym(img, "tstart"), Hi: mustSym(img, "tend")}}
-	} else if _, ok := symbol(img, "tstart"); ok {
-		pol.TaintedCode = []glift.AddrRange{{Lo: mustSym(img, "tstart"), Hi: mustSym(img, "tend")}}
+		pol.TaintedCode = []glift.AddrRange{{Lo: img.MustSymbol("tstart"), Hi: img.MustSymbol("tend")}}
+	} else if _, ok := img.Symbol("tstart"); ok {
+		pol.TaintedCode = []glift.AddrRange{{Lo: img.MustSymbol("tstart"), Hi: img.MustSymbol("tend")}}
 	}
 	return glift.Analyze(img, pol, nil)
 }

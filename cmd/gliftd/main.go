@@ -69,7 +69,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/service"
-	"repro/internal/sim"
 	"repro/internal/target"
 )
 
@@ -81,7 +80,6 @@ func main() {
 	cache := flag.Int("cache", 1024, "content-addressed result cache entries")
 	deadline := flag.Duration("deadline", 0, "default per-job deadline (0: none)")
 	engineWorkers := flag.Int("engine-workers", 1, "exploration workers per engine run (0: GOMAXPROCS); service workers multiply with engine workers")
-	engineBackend := flag.String("engine-backend", "", sim.FlagHelp()+"; applies to jobs that do not request one")
 	storeDir := flag.String("store-dir", "", "crash-safe persistent result store directory (empty: memory-only cache)")
 	storeMax := flag.Int64("store-max-bytes", 0, "persistent store byte cap, oldest evicted first (0: unbounded)")
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant admission rate in jobs/sec, keyed by X-Tenant (0: unlimited)")
@@ -106,11 +104,6 @@ func main() {
 	// One JSON line per event on stderr: greppable by field (job_id, tenant,
 	// verdict), machine-parseable by log shippers.
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
-	backend, err := sim.ParseBackend(*engineBackend)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gliftd: %v\n", err)
-		os.Exit(2)
-	}
 	if _, err := target.Parse(*targetName); err != nil {
 		fmt.Fprintf(os.Stderr, "gliftd: %v\n", err)
 		os.Exit(2)
@@ -122,7 +115,6 @@ func main() {
 		CacheEntries:       *cache,
 		DefaultDeadline:    *deadline,
 		EngineWorkers:      *engineWorkers,
-		EngineBackend:      backend,
 		StoreDir:           *storeDir,
 		StoreMaxBytes:      *storeMax,
 		StoreWriteDelay:    *chaosSlowWrite,

@@ -34,7 +34,6 @@ func main() {
 	seed := flag.Uint("seed", 0xACE1, "LFSR seed for port inputs")
 	vcdPath := flag.String("vcd", "", "write a VCD waveform here")
 	taintP1 := flag.Bool("taint-p1", false, "drive P1IN as tainted unknown (symbolic)")
-	backendName := flag.String("backend", "", sim.FlagHelp()+"; results are identical either way")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: run430 [flags] app.s43")
@@ -53,12 +52,8 @@ func main() {
 		fatal(err)
 	}
 
-	backend, err := sim.ParseBackend(*backendName)
-	if err != nil {
-		fatal(err)
-	}
 	d := tgt.Design()
-	sys, err := mcu.NewSystemBackend(d, backend)
+	sys, err := mcu.NewSystem(d)
 	if err != nil {
 		fatal(err)
 	}

@@ -46,7 +46,6 @@ import (
 	"repro/internal/glift"
 	"repro/internal/obs"
 	"repro/internal/repair"
-	"repro/internal/sim"
 	"repro/internal/target"
 	"repro/internal/transform"
 )
@@ -64,7 +63,6 @@ func main() {
 	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON trace covering all rounds to this file")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget for all rounds together (0: none); expiry exits 3")
 	workers := flag.Int("workers", 0, "engine exploration workers per round (0: GOMAXPROCS, 1: sequential); the report is identical either way")
-	backendName := flag.String("backend", "", sim.FlagHelp()+"; the report is byte-identical either way")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: secure430 [flags] app.s43 (see -help)")
@@ -120,12 +118,8 @@ func main() {
 		defer cancel()
 	}
 
-	backend, err := sim.ParseBackend(*backendName)
-	if err != nil {
-		fatal(err)
-	}
 	var xt *obs.ExplorationTrace
-	opts := &glift.Options{Workers: *workers, Backend: backend}
+	opts := &glift.Options{Workers: *workers}
 	if *traceFile != "" {
 		xt = obs.NewExplorationTrace(0)
 		opts.Tracer = xt.Record

@@ -129,8 +129,10 @@ func TestGliftcheckExitCodes(t *testing.T) {
 	if code, _ := run(t, gc, writeSrc(t, "bad.s43", "not an instruction\n")); code != 2 {
 		t.Errorf("unassemblable source: exit %d, want 2", code)
 	}
+	// The CLIs always run the compiled backend, so -backend is an unknown
+	// flag: a usage error.
 	if code, _ := run(t, gc, "-backend", "bitslice", clean); code != 2 {
-		t.Errorf("removed backend: exit %d, want 2", code)
+		t.Errorf("removed -backend flag: exit %d, want 2", code)
 	}
 	if code, _ := run(t, gc, "-tainted-code", "nosuch:end", clean); code != 2 {
 		t.Errorf("unresolvable range symbol: exit %d, want 2", code)
@@ -159,8 +161,9 @@ func TestSecure430ExitCodes(t *testing.T) {
 	if code, _ := run(t, sc, filepath.Join(t.TempDir(), "missing.s43")); code != 2 {
 		t.Errorf("missing input: exit %d, want 2", code)
 	}
+	// -backend is an unknown flag, as on gliftcheck.
 	if code, _ := run(t, sc, "-backend", "bitslice", viol); code != 2 {
-		t.Errorf("removed backend: exit %d, want 2", code)
+		t.Errorf("removed -backend flag: exit %d, want 2", code)
 	}
 	if code, _ := run(t, sc, "-tainted-code", "nosuch:end", viol); code != 2 {
 		t.Errorf("unresolvable range symbol: exit %d, want 2", code)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/glift"
@@ -22,7 +23,7 @@ func TestAlwaysOnVerifiesSecure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		always, err := BuildProtected(b, AlwaysOn, nil, unmod, m.TaskCycles)
+		always, _, err := BuildProtected(context.Background(), b, AlwaysOn, nil, unmod, m.TaskCycles)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ var (
 func allEvals(t *testing.T) []*Evaluation {
 	t.Helper()
 	evalOnce.Do(func() {
-		evals, evalErr = EvaluateAll(nil)
+		evals, evalErr = EvaluateAll()
 	})
 	if evalErr != nil {
 		t.Fatal(evalErr)

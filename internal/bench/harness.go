@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/asm"
 	"repro/internal/glift"
 	"repro/internal/mcu"
 	"repro/internal/sim"
@@ -170,78 +169,47 @@ func overheadPct(base, prot uint64) float64 {
 	return 100 * float64(int64(prot)-int64(base)) / float64(base)
 }
 
-// Options tunes an evaluation run.
-type Options struct {
-	Seed        uint16
-	MaxCycles   uint64 // concrete-run budget per variant
-	AnalysisOpt *glift.Options
-}
-
-func (o *Options) defaults() Options {
-	out := Options{Seed: 0xACE1, MaxCycles: 300_000}
-	if o != nil {
-		if o.Seed != 0 {
-			out.Seed = o.Seed
-		}
-		if o.MaxCycles != 0 {
-			out.MaxCycles = o.MaxCycles
-		}
-		out.AnalysisOpt = o.AnalysisOpt
-	}
-	return out
-}
+// The concrete measurement runs behind Table 3 sample the tainted port from
+// an LFSR seeded with measureSeed, and give each variant measureMaxCycles to
+// reach steady state.
+const (
+	measureSeed      = 0xACE1
+	measureMaxCycles = 300_000
+)
 
 // Evaluate runs the full pipeline for one benchmark: analyze the unmodified
 // system, derive both protected variants, re-verify the analysis-guided one
 // and measure all three concretely.
-func Evaluate(b *Benchmark, opt *Options) (*Evaluation, error) {
-	return EvaluateContext(context.Background(), b, opt)
+func Evaluate(b *Benchmark) (*Evaluation, error) {
+	return EvaluateContext(context.Background(), b)
 }
 
 // EvaluateContext is Evaluate under a cancellation context, threaded through
 // both the symbolic analyses and the concrete measurement runs.
-func EvaluateContext(ctx context.Context, b *Benchmark, opt *Options) (*Evaluation, error) {
-	o := opt.defaults()
+func EvaluateContext(ctx context.Context, b *Benchmark) (*Evaluation, error) {
 	ev := &Evaluation{Bench: b}
-
-	// A cancelled symbolic exploration returns a partial report with the
-	// Incomplete verdict rather than an error; surface the cancellation as
-	// an error here so batch pipelines do not tabulate truncated results.
-	analyze := func(img *asm.Image, pol *glift.Policy) (*glift.Report, error) {
-		rep, err := glift.AnalyzeContext(ctx, img, pol, o.AnalysisOpt)
-		if err != nil {
-			return nil, err
-		}
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("bench %s: analysis cancelled: %w", b.Name, ctx.Err())
-		}
-		return rep, nil
-	}
-
 	var err error
 	ev.Unmod, err = BuildUnmodified(b)
 	if err != nil {
 		return nil, err
 	}
-	ev.UnmodMeasure, err = MeasureContext(ctx, ev.Unmod, o.Seed, o.MaxCycles)
+	ev.UnmodMeasure, err = MeasureContext(ctx, ev.Unmod, measureSeed, measureMaxCycles)
 	if err != nil {
 		return nil, err
 	}
-	ev.UnmodReport, err = analyze(ev.Unmod.Img, ev.Unmod.Policy)
+	ev.UnmodReport, err = analyze(ctx, ev.Unmod)
 	if err != nil {
 		return nil, err
 	}
 
+	// The analysis-guided variant comes with the report of its last
+	// analysis round, which is the re-verification.
 	task := ev.UnmodMeasure.TaskCycles
-	ev.With, err = BuildProtected(b, WithAnalysis, ev.UnmodReport, ev.Unmod, task)
+	ev.With, ev.WithReport, err = BuildProtected(ctx, b, WithAnalysis, ev.UnmodReport, ev.Unmod, task)
 	if err != nil {
 		return nil, err
 	}
-	ev.WithReport, err = analyze(ev.With.Img, ev.With.Policy)
-	if err != nil {
-		return nil, err
-	}
-	ev.Always, err = BuildProtected(b, AlwaysOn, nil, ev.Unmod, task)
+	ev.Always, _, err = BuildProtected(ctx, b, AlwaysOn, nil, ev.Unmod, task)
 	if err != nil {
 		return nil, err
 	}
@@ -250,12 +218,12 @@ func EvaluateContext(ctx context.Context, b *Benchmark, opt *Options) (*Evaluati
 	// when the plan fits one slice per activation; multi-slice plans use the
 	// analytic bound (see period()).
 	if !ev.With.Watchdog || ev.With.Plan.Slices == 1 {
-		if m, err := MeasureContext(ctx, ev.With, o.Seed, o.MaxCycles); err == nil {
+		if m, err := MeasureContext(ctx, ev.With, measureSeed, measureMaxCycles); err == nil {
 			ev.WithMeasure = m
 		}
 	}
 	if !ev.Always.Watchdog || ev.Always.Plan.Slices == 1 {
-		if m, err := MeasureContext(ctx, ev.Always, o.Seed, o.MaxCycles); err == nil {
+		if m, err := MeasureContext(ctx, ev.Always, measureSeed, measureMaxCycles); err == nil {
 			ev.AlwaysMeasure = m
 		}
 	}
@@ -264,13 +232,13 @@ func EvaluateContext(ctx context.Context, b *Benchmark, opt *Options) (*Evaluati
 
 // EvaluateAll evaluates every benchmark concurrently (each evaluation owns
 // its own simulator state; the shared netlist is immutable).
-func EvaluateAll(opt *Options) ([]*Evaluation, error) {
-	return EvaluateAllContext(context.Background(), opt)
+func EvaluateAll() ([]*Evaluation, error) {
+	return EvaluateAllContext(context.Background())
 }
 
 // EvaluateAllContext is EvaluateAll under a cancellation context; the first
 // cancellation error wins and the remaining evaluations drain promptly.
-func EvaluateAllContext(ctx context.Context, opt *Options) ([]*Evaluation, error) {
+func EvaluateAllContext(ctx context.Context) ([]*Evaluation, error) {
 	all := All()
 	evs := make([]*Evaluation, len(all))
 	errs := make([]error, len(all))
@@ -279,7 +247,7 @@ func EvaluateAllContext(ctx context.Context, opt *Options) ([]*Evaluation, error
 		wg.Add(1)
 		go func(i int, b *Benchmark) {
 			defer wg.Done()
-			evs[i], errs[i] = EvaluateContext(ctx, b, opt)
+			evs[i], errs[i] = EvaluateContext(ctx, b)
 		}(i, b)
 	}
 	wg.Wait()

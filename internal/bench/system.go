@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -206,20 +207,24 @@ func buildVariant(b *Benchmark, v Variant, armed bool, plan transform.WdtPlan, f
 	}, nil
 }
 
-// BuildProtected derives a protected variant.
+// BuildProtected derives a protected variant and returns it with the report
+// of its last analysis.
 //
 // WithAnalysis runs the paper's iterative toolflow (Figure 11): analyze,
 // mask the root-cause stores, re-analyze — because fixing a primary
 // violation (e.g. an overflow store whose cover reaches the watchdog)
 // removes the conservative downstream violations it induced — and arm the
-// watchdog bound once tainted control flow is confirmed. taskCycles is the
+// watchdog bound once tainted control flow is confirmed. report is the
+// analysis of unmod; the returned report is the analysis of the returned
+// variant (report itself when nothing needed fixing). taskCycles is the
 // measured unprotected task length used for slice planning.
 //
-// AlwaysOn masks every maskable task store and always arms the watchdog.
-func BuildProtected(b *Benchmark, v Variant, report *glift.Report, unmod *Built, taskCycles uint64) (*Built, error) {
+// AlwaysOn masks every maskable task store and always arms the watchdog. It
+// analyzes nothing and returns a nil report.
+func BuildProtected(ctx context.Context, b *Benchmark, v Variant, report *glift.Report, unmod *Built, taskCycles uint64) (*Built, *glift.Report, error) {
 	off0, err := taskStmtOffset(unmod.Stmts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	if v == AlwaysOn {
@@ -230,11 +235,12 @@ func BuildProtected(b *Benchmark, v Variant, report *glift.Report, unmod *Built,
 			}
 		}
 		plan := transform.PlanWatchdog(taskCycles + 4*uint64(len(flaggedLines)))
-		return buildVariant(b, v, true, plan, flaggedLines)
+		bt, err := buildVariant(b, v, true, plan, flaggedLines)
+		return bt, nil, err
 	}
 
 	if report == nil {
-		return nil, fmt.Errorf("bench: WithAnalysis requires a report")
+		return nil, nil, fmt.Errorf("bench: WithAnalysis requires a report")
 	}
 	flaggedLines := map[int]bool{}
 	armed := false
@@ -269,11 +275,11 @@ func BuildProtected(b *Benchmark, v Variant, report *glift.Report, unmod *Built,
 		plan := transform.PlanWatchdog(taskCycles + 4*uint64(len(flaggedLines)))
 		cur, err = buildVariant(b, v, armed, plan, flaggedLines)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		rep, err = glift.Analyze(cur.Img, cur.Policy, nil)
+		rep, err = analyze(ctx, cur)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	if cur == unmod {
@@ -281,7 +287,22 @@ func BuildProtected(b *Benchmark, v Variant, report *glift.Report, unmod *Built,
 		return &Built{
 			Bench: b, Variant: v, Stmts: unmod.Stmts, Img: unmod.Img,
 			Policy: unmod.Policy,
-		}, nil
+		}, rep, nil
 	}
-	return cur, nil
+	return cur, rep, nil
+}
+
+// analyze runs the symbolic analysis of a built variant. A cancelled
+// exploration returns a partial report with the Incomplete verdict rather
+// than an error; analyze surfaces the cancellation as an error so batch
+// pipelines do not tabulate truncated results.
+func analyze(ctx context.Context, bt *Built) (*glift.Report, error) {
+	rep, err := glift.AnalyzeContext(ctx, bt.Img, bt.Policy, nil)
+	if err != nil {
+		return nil, err
+	}
+	if ctx.Err() != nil {
+		return nil, fmt.Errorf("bench %s: analysis cancelled: %w", bt.Bench.Name, ctx.Err())
+	}
+	return rep, nil
 }

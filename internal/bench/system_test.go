@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/transform"
@@ -71,5 +73,21 @@ func TestScaffoldCacheIsolation(t *testing.T) {
 				t.Fatalf("cache perturbed: segment %d word %d = %#x, want %#x", i, k, got.Words[k], w)
 			}
 		}
+	}
+}
+
+// TestBuildProtectedCancelled: the analysis rounds of the analysis-guided
+// build run under the caller's context, so a cancelled context ends them
+// with an error instead of a variant derived from a truncated analysis.
+func TestBuildProtectedCancelled(t *testing.T) {
+	ev := allEvals(t)[0]
+	if !ev.Bench.ExpectC1C2 {
+		t.Fatalf("%s: want a benchmark whose first round masks stores", ev.Bench.Name)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, _, err := BuildProtected(ctx, ev.Bench, WithAnalysis, ev.UnmodReport, ev.Unmod, ev.UnmodMeasure.TaskCycles)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("%s: cancelled build returned %v, want context.Canceled", ev.Bench.Name, err)
 	}
 }

@@ -261,30 +261,9 @@ func Run(ctx context.Context, img *asm.Image, maxCycles uint64, faults ...Fault)
 		}
 	}
 	sys.PowerOn()
-
-	var lastPC uint32 = 1 << 20
-	samePC := 0
-	start := sys.Cycle
-	for sys.Cycle-start < maxCycles {
-		if sys.Cycle&1023 == 0 && ctx.Err() != nil {
-			return sys.Cycle - start, fmt.Errorf("fault: concrete run cancelled at cycle %d: %w", sys.Cycle, ctx.Err())
-		}
-		ci := sys.EvalCycle(nil)
-		if !ci.PmemOK {
-			return sys.Cycle - start, fmt.Errorf("fault: pc became unknown at cycle %d", sys.Cycle)
-		}
-		if ci.StateOK && ci.State == mcu.StFetch {
-			if uint32(ci.PmemAddr) == lastPC {
-				samePC++
-				if samePC >= 2 {
-					return sys.Cycle - start, nil // parked on jmp $
-				}
-			} else {
-				samePC = 0
-			}
-			lastPC = uint32(ci.PmemAddr)
-		}
-		sys.Commit(ci)
+	n, err := sys.RunToCompletion(ctx, maxCycles)
+	if err != nil {
+		return n, fmt.Errorf("fault: %w", err)
 	}
-	return sys.Cycle - start, fmt.Errorf("fault: did not terminate in %d cycles", maxCycles)
+	return n, nil
 }

@@ -1,6 +1,7 @@
 package mcu
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -252,14 +253,18 @@ func (s *System) PowerOn() {
 	s.SetRst(logic.Zero0)
 }
 
-// RunToCompletion steps until the PC parks on a self-jump ("jmp $") or
-// maxCycles elapses, returning the cycle count consumed after power-on.
-// It is the harness for concrete performance runs.
-func (s *System) RunToCompletion(maxCycles uint64) (uint64, error) {
+// RunToCompletion steps until the PC parks on a self-jump ("jmp $"),
+// returning the cycle count consumed. An unknown PC, maxCycles elapsing
+// first, or ctx ending (polled every 1024 cycles) is an error. It is the
+// harness for concrete runs.
+func (s *System) RunToCompletion(ctx context.Context, maxCycles uint64) (uint64, error) {
 	start := s.Cycle
 	var lastPC uint64 = 1 << 20
 	samePC := 0
 	for s.Cycle-start < maxCycles {
+		if s.Cycle&1023 == 0 && ctx.Err() != nil {
+			return s.Cycle - start, fmt.Errorf("concrete run cancelled at cycle %d: %w", s.Cycle, ctx.Err())
+		}
 		ci := s.EvalCycle(nil)
 		if !ci.PmemOK {
 			return s.Cycle - start, fmt.Errorf("pc became unknown at cycle %d", s.Cycle)

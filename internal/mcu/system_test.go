@@ -1,6 +1,7 @@
 package mcu
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -352,7 +353,7 @@ done:   jmp done
 	s := newTestSystem(t)
 	loadConcrete(t, s, img)
 	s.PowerOn()
-	cycles, err := s.RunToCompletion(10000)
+	cycles, err := s.RunToCompletion(context.Background(), 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +415,7 @@ halt:   jmp halt
 	s := newTestSystem(t)
 	loadConcrete(t, s, img)
 	s.PowerOn()
-	if _, err := s.RunToCompletion(1000); err != nil {
+	if _, err := s.RunToCompletion(context.Background(), 1000); err != nil {
 		t.Fatal(err)
 	}
 	if w := s.RAM.LoadWord(0x0310); w.Val != 2 {
@@ -439,7 +440,7 @@ done:   jmp done
 	s := newTestSystem(t)
 	loadConcrete(t, s, img)
 	s.PowerOn()
-	if _, err := s.RunToCompletion(100); err != nil {
+	if _, err := s.RunToCompletion(context.Background(), 100); err != nil {
 		t.Fatal(err)
 	}
 	s.EvalCycle(nil)
@@ -464,7 +465,7 @@ done:   jmp done
 	loadConcrete(t, s, img)
 	s.SetPortIn(0, sim.ConcreteWord(0x5678))
 	s.PowerOn()
-	if _, err := s.RunToCompletion(100); err != nil {
+	if _, err := s.RunToCompletion(context.Background(), 100); err != nil {
 		t.Fatal(err)
 	}
 	s.EvalCycle(nil)
@@ -610,7 +611,7 @@ done:   jmp done
 	s := newTestSystem(t)
 	loadConcrete(t, s, img)
 	s.PowerOn()
-	if _, err := s.RunToCompletion(100); err != nil {
+	if _, err := s.RunToCompletion(context.Background(), 100); err != nil {
 		t.Fatal(err)
 	}
 	evs := s.Events()

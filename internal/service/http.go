@@ -308,7 +308,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	j := s.newJobLocked(key, mode)
 	j.kind, j.opt, j.deadline = kind, *opt, deadline
-	j.backendSet = req.Options.Backend != ""
 	j.tenant = tenantOf(r)
 	j.streamTrace = req.Options.StreamTrace
 	j.enqueued = time.Now()

@@ -11,7 +11,6 @@ import (
 	"repro/internal/asm"
 	"repro/internal/glift"
 	"repro/internal/mcu"
-	"repro/internal/sim"
 	"repro/internal/target"
 )
 
@@ -73,9 +72,6 @@ type job struct {
 	ctx      context.Context
 	cancel   context.CancelFunc
 	done     chan struct{}
-	// backendSet records whether the submission named a backend explicitly;
-	// if not, the server's Config.EngineBackend applies at run time.
-	backendSet bool
 	// tenant is the submitting X-Tenant value, carried for structured logs.
 	tenant string
 	// enqueued is when the job entered the worker queue (the start of its
@@ -154,17 +150,11 @@ type OptionsRequest struct {
 	// Reports are identical for every worker count, so this field does not
 	// participate in the job's cache key.
 	Workers int `json:"workers,omitempty"`
-	// Backend selects the gate-evaluation backend for this job by its
-	// registered name — "compiled" or "interp" (empty: the server's
-	// Config.EngineBackend, then the compiled default). Reports are
-	// byte-identical across backends, so like Workers this field does not
-	// participate in the job's cache key.
+	// Backend is accepted and ignored for one release, then removed. Every
+	// job runs on the compiled backend, but the request decoder rejects
+	// unknown fields, so dropping the field at once would fail clients that
+	// still send it. It was never part of the job key.
 	Backend string `json:"backend,omitempty"`
-	// SpecLanes is accepted and ignored for one release, then removed.
-	// The engine has no lane-packed speculation any more, but the request
-	// decoder rejects unknown fields, so dropping the field at once would
-	// fail clients that still send it. It was never part of the job key.
-	SpecLanes int `json:"spec_lanes,omitempty"`
 	// StreamTrace opts this job into engine trace streaming: every N-th
 	// exploration event (1: all of them) is published as a `trace` event
 	// on GET /jobs/{id}/events. Tracing observes the run without changing
@@ -200,7 +190,7 @@ type RepairRequest struct {
 type JobRequest struct {
 	// Target selects the processor target by registered name (empty:
 	// msp430, preserving the pre-target schema). Unlike the wall-time
-	// knobs (workers/backend), the target changes the analyzed system, so
+	// knob (workers), the target changes the analyzed system, so
 	// it IS part of the content-addressed job key: identical programs
 	// submitted against different targets never coalesce and never share
 	// cache entries.
@@ -326,10 +316,6 @@ func compilePolicy(pr *PolicyRequest) (*glift.Policy, error) {
 // compileOptions turns the wire options into validated engine options and
 // the job deadline.
 func compileOptions(or *OptionsRequest) (*glift.Options, time.Duration, error) {
-	backend, err := sim.ParseBackend(or.Backend)
-	if err != nil {
-		return nil, 0, err
-	}
 	opt := &glift.Options{
 		MaxCycles:     or.MaxCycles,
 		MaxPathCycles: or.MaxPathCycles,
@@ -337,7 +323,6 @@ func compileOptions(or *OptionsRequest) (*glift.Options, time.Duration, error) {
 		SoftMemBytes:  or.SoftMemBytes,
 		HardMemBytes:  or.HardMemBytes,
 		Workers:       or.Workers,
-		Backend:       backend,
 	}
 	if or.DeadlineMS < 0 {
 		return nil, 0, fmt.Errorf("negative deadline_ms")

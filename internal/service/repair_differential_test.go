@@ -7,9 +7,10 @@ package service
 // stats. Both paths execute repair.Run (the shared round loop), so what
 // this suite actually pins is everything the daemon wraps around it:
 // request compilation, option plumbing, the JSON round-trip, and the
-// performance knobs (workers, backend) whose exclusion from the
-// repair cache key is sound only if they can never change a byte of the
-// result.
+// workers knob whose exclusion from the repair cache key is sound only if
+// it can never change a byte of the result. The reference runs on the
+// interp backend and the daemon on compiled, so every comparison is also a
+// backend differential through the repair loop.
 
 import (
 	"context"
@@ -140,20 +141,16 @@ func TestRepairDifferentialAllBenchmarks(t *testing.T) {
 	}
 }
 
-// TestRepairDifferentialKnobSweep sweeps the engine's performance knobs —
-// workers × backend — on two branchy benchmarks (data-dependent control
-// flow forks the exploration, the hard case for engine determinism). Every
-// configuration must reproduce the reference payload byte-identically; this
-// is the guarantee that lets the repair cache key exclude both knobs.
+// TestRepairDifferentialKnobSweep sweeps the engine's workers knob on two
+// branchy benchmarks (data-dependent control flow forks the exploration, the
+// hard case for engine determinism). Every worker count must reproduce the
+// reference payload byte-identically; this is the guarantee that lets the
+// repair cache key exclude the knob.
 func TestRepairDifferentialKnobSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repair differential sweep skipped in -short mode")
 	}
-	configs := []OptionsRequest{
-		{Workers: 4, Backend: "interp"},
-		{Workers: 1, Backend: "compiled"},
-		{Workers: 4, Backend: "compiled"},
-	}
+	configs := []OptionsRequest{{Workers: 1}, {Workers: 4}}
 	for _, name := range []string{"binSearch", "tHold"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -164,7 +161,7 @@ func TestRepairDifferentialKnobSweep(t *testing.T) {
 			}
 			ref := runReference(t, b)
 			for _, opt := range configs {
-				label := fmt.Sprintf("%s/w%d", opt.Backend, opt.Workers)
+				label := fmt.Sprintf("w%d", opt.Workers)
 				diffRepair(t, b, ref, opt, label)
 			}
 		})

@@ -37,7 +37,6 @@ import (
 	"repro/internal/glift"
 	"repro/internal/mcu"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/target"
 )
@@ -60,12 +59,6 @@ type Config struct {
 	// Service workers multiply with engine workers, so hosts running
 	// several concurrent jobs usually want this pinned low.
 	EngineWorkers int
-	// EngineBackend is the gate-evaluation backend applied to jobs that do
-	// not request one (zero value: the compiled default). Like
-	// EngineWorkers it never affects results — backends are byte-identical
-	// by the differential contract — so it participates in neither job
-	// keys nor caching.
-	EngineBackend sim.BackendKind
 
 	// StoreDir enables the crash-safe persistent result store: completed
 	// Verified/Violations reports are fsynced there before the submitter is
@@ -252,10 +245,6 @@ func (s *Server) Store() *store.Store { return s.store }
 // histogram.
 func (s *Server) Handler() http.Handler { return s.instrument(s.mux) }
 
-// Metrics returns the Prometheus metrics registry (the hook for hosts that
-// serve or push the registry themselves).
-func (s *Server) Metrics() *obs.Registry { return s.prom.reg }
-
 // Close stops accepting jobs, cancels everything in flight and waits for
 // the worker pool to drain.
 func (s *Server) Close() {
@@ -362,12 +351,11 @@ func (h keyHash) putBytes(b []byte) {
 func (s *Server) jobKey(k jobKind, opt *glift.Options, deadline time.Duration) string {
 	h := keyHash{sha256.New()}
 	k.writeKey(s, h)
-	// Normalized() zeroes Options.Workers and Options.Backend: the parallel
-	// engine guarantees byte-identical reports for every worker count, and
-	// the evaluation backends are byte-identical by the same differential
-	// contract (the suites in internal/glift and the repair differential
-	// enforce both), so hashing either would only split the cache and
-	// defeat coalescing between equivalent submissions.
+	// Normalized() zeroes Options.Workers: the parallel engine guarantees
+	// byte-identical reports for every worker count (the suites in
+	// internal/glift and the repair differential enforce it), so hashing it
+	// would only split the cache and defeat coalescing between equivalent
+	// submissions.
 	n := opt.Normalized()
 	h.put(n.MaxCycles)
 	h.put(n.MaxPathCycles)
@@ -413,9 +401,6 @@ func (s *Server) runJob(j *job) {
 	opt := j.opt
 	if opt.Workers == 0 {
 		opt.Workers = s.cfg.EngineWorkers
-	}
-	if !j.backendSet {
-		opt.Backend = s.cfg.EngineBackend
 	}
 	if j.streamTrace > 0 {
 		opt.Tracer = s.traceSampler(j, j.streamTrace)
@@ -532,8 +517,7 @@ func (k *analysisKind) mode() string { return modeAnalyze }
 // writeKey hashes the target name and its netlist fingerprint, the
 // assembled image (entry point plus every segment) and the policy's
 // canonical JSON. The target selects the analyzed system itself, so it
-// participates in the key, while the wall-time knobs (Workers/Backend) do
-// not.
+// participates in the key, while the wall-time knob (Workers) does not.
 func (k *analysisKind) writeKey(s *Server, h keyHash) {
 	_, fp := s.designFor(k.tgt)
 	h.Write([]byte(k.tgt.Name))

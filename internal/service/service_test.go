@@ -418,6 +418,11 @@ func TestServiceBadRequests(t *testing.T) {
 	if code := post(`{"policy":{"name":"p"}}`); code != http.StatusBadRequest {
 		t.Errorf("missing program: code=%d", code)
 	}
+	// options.spec_lanes had its release of being accepted and ignored; it
+	// is now an unknown field like any other.
+	if code := post(`{"source":"done: jmp done","policy":{"name":"p"},"options":{"spec_lanes":8}}`); code != http.StatusBadRequest {
+		t.Errorf("removed options.spec_lanes: code=%d", code)
+	}
 	if code := post(`{"source":"bogus instruction here","policy":{"name":"p"}}`); code != http.StatusBadRequest {
 		t.Errorf("unassemblable source: code=%d", code)
 	}
@@ -440,49 +445,34 @@ func TestServiceBadRequests(t *testing.T) {
 	}
 }
 
-// TestSpecLanesIgnored: options.spec_lanes stays decodable for one release
-// after lane-packed speculation was removed. A job carrying it is accepted,
-// shares the job key of the same job without it (so it is answered from
-// that job's cache entry), and gets the same report bytes.
-func TestSpecLanesIgnored(t *testing.T) {
+// TestBackendIgnored: options.backend stays decodable for one release after
+// the daemon stopped selecting backends. A job naming any backend, even one
+// that no longer exists, is accepted, shares the job key of the same job
+// without it (so it is answered from that job's cache entry), and gets the
+// same report bytes.
+func TestBackendIgnored(t *testing.T) {
 	c, _ := newTestClient(t, Config{Workers: 1, QueueDepth: 4})
 	req := &JobRequest{Source: violSrc, Policy: violPolicy(t)}
 	code, plain := c.do("POST", "/jobs?wait=1", req)
 	if code != http.StatusConflict || plain.Verdict != "violations" {
-		t.Fatalf("job without spec_lanes: code=%d verdict=%q", code, plain.Verdict)
-	}
-	req.Options.SpecLanes = 8
-	code, lanes := c.do("POST", "/jobs?wait=1", req)
-	if code != http.StatusConflict {
-		t.Fatalf("job with spec_lanes 8: code=%d, want 409", code)
-	}
-	if lanes.Key != plain.Key || !lanes.CacheHit {
-		t.Errorf("spec_lanes changed the job: key %s vs %s, cache_hit %v", lanes.Key, plain.Key, lanes.CacheHit)
+		t.Fatalf("job without backend: code=%d verdict=%q", code, plain.Verdict)
 	}
 	want, _ := json.Marshal(plain.Report)
-	got, _ := json.Marshal(lanes.Report)
-	if string(got) != string(want) {
-		t.Errorf("report with spec_lanes differs:\n%s\nvs\n%s", got, want)
+	for _, name := range []string{"interp", "bitslice"} {
+		req.Options.Backend = name
+		code, named := c.do("POST", "/jobs?wait=1", req)
+		if code != http.StatusConflict {
+			t.Fatalf("job with backend %s: code=%d, want 409", name, code)
+		}
+		if named.Key != plain.Key || !named.CacheHit {
+			t.Errorf("backend %s changed the job: key %s vs %s, cache_hit %v", name, named.Key, plain.Key, named.CacheHit)
+		}
+		if got, _ := json.Marshal(named.Report); string(got) != string(want) {
+			t.Errorf("report with backend %s differs:\n%s\nvs\n%s", name, got, want)
+		}
 	}
 	if m := c.metrics(); m.EngineRuns != 1 {
 		t.Errorf("engine_runs = %d, want 1", m.EngineRuns)
-	}
-}
-
-// TestRemovedBackendRejected: the bitslice backend was removed, so naming
-// it is the ordinary unknown-backend 400, which lists the valid set.
-func TestRemovedBackendRejected(t *testing.T) {
-	s, err := New(Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	body, _ := json.Marshal(&JobRequest{Source: cleanSrc, Policy: PolicyRequest{Name: "p"},
-		Options: OptionsRequest{Backend: "bitslice"}})
-	w := httptest.NewRecorder()
-	s.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/jobs", bytes.NewReader(body)))
-	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "compiled, interp") {
-		t.Fatalf("backend bitslice: status %d body %s; want 400 listing compiled, interp", w.Code, w.Body.String())
 	}
 }
 

@@ -86,20 +86,13 @@ func (k BackendKind) String() string {
 }
 
 // BackendNames lists the registered backend names in registry order — the
-// valid values for every -backend flag and the gliftd options.backend field.
+// names ParseBackend accepts.
 func BackendNames() []string {
 	names := make([]string, len(backendRegistry))
 	for i, e := range backendRegistry {
 		names[i] = e.name
 	}
 	return names
-}
-
-// FlagHelp is the shared -backend flag usage string: the registered backend
-// names, with the registry's first entry marked as the default.
-func FlagHelp() string {
-	names := BackendNames()
-	return "gate-evaluation backend: " + names[0] + " (default), " + strings.Join(names[1:], ", ")
 }
 
 // ParseBackend resolves a backend name from the registry: empty selects the
