@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: check build fmt vet bench-smoke test race race-observability differential backend-differential repair-differential target-differential fault trace bench-json bench-check serve soak stream clean
+.PHONY: check build fmt vet bench-smoke test race differential backend-differential repair-differential target-differential fault trace bench-json bench-check serve soak stream clean
 
 # check is the CI gate: formatting, vet, build, the benchmark module's
-# smoke test, and the full suite under the race detector (the engine itself
-# is single-threaded, but bench fan-out, the service and the CLIs are not).
-# The repair and target differentials select tests that race already runs,
-# so check does not run them again; each keeps its own target and CI job.
-check: fmt vet build bench-smoke race
+# smoke test, the full suite under the race detector (the engine itself
+# is single-threaded, but bench fan-out, the service and the CLIs are not)
+# and the sample trace. The repair and target differentials select tests
+# that race already runs, so check does not run them again; each keeps its
+# own target and CI job.
+check: fmt vet build bench-smoke race trace
 
 build:
 	$(GO) build ./...
@@ -37,12 +38,6 @@ test:
 
 race:
 	$(GO) test -race -timeout $(TEST_TIMEOUT) ./...
-
-# race-observability covers just the concurrency-sensitive observability
-# surface: the metrics registry, the service that feeds it, and the engine
-# hooks behind both.
-race-observability:
-	$(GO) test -race -timeout $(TEST_TIMEOUT) ./internal/obs ./internal/service ./internal/glift
 
 # differential runs the equivalence suite under the race detector: every
 # scaffold benchmark swept over (backend, workers) configurations must
@@ -141,9 +136,9 @@ bench-check:
 # race detector — the daemon binaries are race-instrumented too — and fails
 # on any integrity violation: a torn record served, a lost fsynced result,
 # or a verdict differing from a cold run (see DESIGN.md "Durability &
-# admission"). The streaming latency gate rides along: gliftload -stream
-# consumes every job's SSE event stream and fails the job when the
-# submit-to-verdict p99 exceeds its budget.
+# admission"). The streaming latency gate rides along: gliftload's stream
+# mode (-addr) consumes every job's SSE event stream and fails the run when
+# the submit-to-verdict p99 exceeds its budget.
 soak:
 	GLIFT_SOAK=1 $(GO) test -race -timeout $(TEST_TIMEOUT) ./integration \
 		-run 'TestChaos|TestGliftdSIGTERMDrain|TestStreamLatencyGate' -v
@@ -162,7 +157,7 @@ stream:
 	for i in $$(seq 1 100); do \
 		curl -fsS -o /dev/null http://127.0.0.1:8437/healthz 2>/dev/null && break; sleep 0.1; \
 	done; \
-	./bin/gliftload -addr http://127.0.0.1:8437 -stream -n 24 -distinct 6 -c 4 \
+	./bin/gliftload -addr http://127.0.0.1:8437 -n 24 -distinct 6 -c 4 \
 		-stream-trace 4 -p99-budget 60s -stream-dump bin/stream-events.ndjson && \
 	./bin/traceview bin/stream-events.ndjson
 

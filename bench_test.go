@@ -60,56 +60,27 @@ func BenchmarkFigure7_ExecutionTree(b *testing.B) {
 	}
 }
 
-func analyzeMicro(b *testing.B, src string, taintWords bool) *glift.Report {
+// analyzeMicro analyzes one Figure 8 or Figure 9 micro-benchmark.
+func analyzeMicro(b *testing.B, s *motivate.Scenario) *glift.Report {
 	b.Helper()
-	img, err := asm.AssembleSource(src)
+	res, err := motivate.Run(s, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pol := &glift.Policy{
-		Name:           "integrity",
-		TaintedInPorts: []int{0},
-		TaintedData:    []glift.AddrRange{{Lo: 0x0400, Hi: 0x0800}},
-		TaintCodeWords: taintWords,
-	}
-	if lo, ok := img.Symbol("tstart"); ok {
-		pol.TaintedCode = []glift.AddrRange{{Lo: lo, Hi: img.MustSymbol("tend")}}
-	}
-	rep, err := glift.Analyze(img, pol, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return rep
+	return res.Report
 }
 
 // BenchmarkFigure8_WatchdogRecovery runs both Figure 8 micro-benchmarks:
 // the unprotected task must violate condition 1 and the protected one must
 // verify clean.
 func BenchmarkFigure8_WatchdogRecovery(b *testing.B) {
+	fig := motivate.Figure8()
 	for i := 0; i < b.N; i++ {
-		unprot := analyzeMicro(b, `
-start:  nop
-tstart: mov #100, r10
-loop:   nop
-        dec r10
-        jnz loop
-        jmp start
-tend:   nop
-`, true)
+		unprot := analyzeMicro(b, fig[0])
 		if len(unprot.ByKind(glift.C1TaintedState)) == 0 {
 			b.Fatal("unprotected variant should violate C1")
 		}
-		prot := analyzeMicro(b, `
-.equ WDTCTL, 0x0120
-start:  mov #0x5a03, &WDTCTL
-tstart: mov &0x0020, r10
-        and #3, r10
-loop:   nop
-        dec r10
-        jnz loop
-spin:   jmp spin
-tend:   nop
-`, false)
+		prot := analyzeMicro(b, fig[1])
 		if !prot.Secure() {
 			b.Fatalf("protected variant should verify: %v", prot.Violations)
 		}
@@ -119,30 +90,13 @@ tend:   nop
 // BenchmarkFigure9_MaskedStore runs both Figure 9 micro-benchmarks: the
 // unmasked store must be flagged as a memory escape, the masked one not.
 func BenchmarkFigure9_MaskedStore(b *testing.B) {
+	fig := motivate.Figure9()
 	for i := 0; i < b.N; i++ {
-		unmasked := analyzeMicro(b, `
-start:  jmp tstart
-tstart: mov &0x0020, r15
-        mov #0x0200, r14
-        add r15, r14
-        mov #500, 0(r14)
-done:   jmp done
-tend:   nop
-`, false)
+		unmasked := analyzeMicro(b, fig[0])
 		if len(unmasked.ByKind(glift.C2MemoryEscape)) == 0 {
 			b.Fatal("unmasked store should be flagged")
 		}
-		masked := analyzeMicro(b, `
-start:  jmp tstart
-tstart: mov &0x0020, r15
-        mov #0x0200, r14
-        add r15, r14
-        and #0x03ff, r14
-        bis #0x0400, r14
-        mov #500, 0(r14)
-done:   jmp done
-tend:   nop
-`, false)
+		masked := analyzeMicro(b, fig[1])
 		if len(masked.ByKind(glift.C2MemoryEscape)) != 0 {
 			b.Fatal("masked store should verify")
 		}

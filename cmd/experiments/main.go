@@ -129,60 +129,29 @@ func figure(n int) {
 		for _, r := range tree.Right {
 			fmt.Println("  " + r.String())
 		}
-	case 8, 9:
-		runFig89(n)
+	case 8:
+		figure8()
+	case 9:
+		figure9()
 	default:
 		fatal(fmt.Errorf("unknown figure %d", n))
 	}
 }
 
-func runFig89(n int) {
-	type variant struct {
-		name   string
-		src    string
-		tcode  bool
-		expect string
-	}
-	var vs []variant
-	if n == 8 {
-		fmt.Println("== Figure 8: untainted watchdog timer reset ==")
-		vs = []variant{
-			{"unprotected", `
-start:  nop
-tstart: mov #100, r10
-loop:   nop
-        nop
-        dec r10
-        jnz loop
-        jmp start
-tend:   nop
-`, true, "once the PC is tainted it never becomes untainted again"},
-			{"watchdog-protected", `
-.equ WDTCTL, 0x0120
-start:  mov #0x5a03, &WDTCTL
-tstart: mov &0x0020, r10
-        and #3, r10
-loop:   nop
-        dec r10
-        jnz loop
-spin:   jmp spin
-tend:   nop
-`, false, "each execution of the untainted code section has a trusted PC"},
-		}
-	} else {
-		figure9()
-		return
-	}
-	for _, v := range vs {
-		rep, err := analyzeSrc(v.src, v.tcode)
+// figure8 analyzes the unprotected and watchdog-protected listings.
+func figure8() {
+	fmt.Println("== Figure 8: untainted watchdog timer reset ==")
+	for _, s := range motivate.Figure8() {
+		res, err := motivate.Run(s, nil)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf(" %s: %d violations", v.name, len(rep.Violations))
+		rep := res.Report
+		fmt.Printf(" %s: %d violations", s.Name, len(rep.Violations))
 		if c := rep.ViolatedConditions(); len(c) > 0 {
 			fmt.Printf(" (conditions %v)", c)
 		}
-		fmt.Printf("\n   paper: %s\n", v.expect)
+		fmt.Printf("\n   paper: %s\n", s.Expect)
 	}
 	fmt.Println()
 }
@@ -191,8 +160,8 @@ tend:   nop
 // taint footprint of the unmasked and masked listings directly.
 func figure9() {
 	fmt.Println("== Figure 9: software masked addressing ==")
-	run := func(name, src, expect string) {
-		img, err := asm.AssembleSource(src)
+	for _, s := range motivate.Figure9() {
+		img, err := asm.AssembleSource(s.Source)
 		if err != nil {
 			fatal(err)
 		}
@@ -209,53 +178,10 @@ func figure9() {
 		}
 		inside := sys.RAM.TaintedBytes(0x0400, 0x0800)
 		outside := sys.RAM.TaintedBytes(0x0200, 0x0400) + sys.RAM.TaintedBytes(0x0800, 0x0a00)
-		fmt.Printf(" %s: %d tainted bytes inside the tainted partition, %d outside\n", name, inside, outside)
-		fmt.Printf("   paper: %s\n", expect)
+		fmt.Printf(" %s: %d tainted bytes inside the tainted partition, %d outside\n", s.Name, inside, outside)
+		fmt.Printf("   paper: %s\n", s.Expect)
 	}
-	run("unmasked", `
-start:  mov #4096, &0x0450
-        mov #0x0449, r15
-        mov.b #1, 0(r15)
-        mov &0x0020, r15     ; read untrusted input
-        mov #0x0200, r14
-        add r15, r14
-        mov #500, 0(r14)
-        mov r15, &0x0400
-done:   jmp done
-`, "the store taints the whole data memory space")
-	run("masked", `
-start:  mov #4096, &0x0450
-        mov #0x0449, r15
-        mov.b #1, 0(r15)
-        mov &0x0020, r15
-        mov #0x0200, r14
-        add r15, r14
-        and #0x03ff, r14
-        bis #0x0400, r14
-        mov #500, 0(r14)
-        mov r15, &0x0400
-done:   jmp done
-`, "no untainted memory locations become tainted")
 	fmt.Println()
-}
-
-func analyzeSrc(src string, taintCode bool) (*glift.Report, error) {
-	img, err := asm.AssembleSource(src)
-	if err != nil {
-		return nil, err
-	}
-	pol := &glift.Policy{
-		Name:           "integrity",
-		TaintedInPorts: []int{0},
-		TaintedData:    []glift.AddrRange{{Lo: 0x0400, Hi: 0x0800}},
-	}
-	if taintCode {
-		pol.TaintCodeWords = true
-		pol.TaintedCode = []glift.AddrRange{{Lo: img.MustSymbol("tstart"), Hi: img.MustSymbol("tend")}}
-	} else if _, ok := img.Symbol("tstart"); ok {
-		pol.TaintedCode = []glift.AddrRange{{Lo: img.MustSymbol("tstart"), Hi: img.MustSymbol("tend")}}
-	}
-	return glift.Analyze(img, pol, nil)
 }
 
 func printTable(n int) {

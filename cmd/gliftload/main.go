@@ -1,19 +1,14 @@
-// gliftload is the load and chaos harness for gliftd. It has three modes:
+// gliftload is the streaming latency gate and chaos harness for gliftd. It
+// has two modes.
 //
-// Load mode (default) hammers a running daemon with a mixed corpus of
-// verifying and violating programs and reports throughput and the
-// response-code distribution:
-//
-//	gliftload -addr http://127.0.0.1:8430 -n 500 -c 16 -tenants 4
-//
-// Stream mode (-stream) submits without server-side wait and instead
-// consumes each job's SSE event stream to its terminal verdict event,
+// Stream mode (-addr) submits to a running daemon without server-side wait
+// and consumes each job's SSE event stream to its terminal verdict event,
 // reporting per-stage latency quantiles (p50/p90/p99) from the verdict
 // events' stage timings plus the client-observed submit-to-verdict total.
 // With -p99-budget the run exits non-zero when the observed
 // submit-to-verdict p99 exceeds the budget — the CI latency gate:
 //
-//	gliftload -addr http://127.0.0.1:8430 -stream -n 200 -p99-budget 2s
+//	gliftload -addr http://127.0.0.1:8430 -n 200 -p99-budget 2s
 //
 // Chaos mode (-chaos) spawns its own gliftd (-gliftd path to the binary)
 // and proves the daemon's durability and admission invariants under induced
@@ -37,6 +32,10 @@
 //  3. 503 injection: with a percentage of submissions spuriously rejected,
 //     the client's backoff discipline still lands every job, verdicts
 //     unchanged.
+//
+// Stream mode and the concurrent chaos phases share one submission driver
+// (submitAll), and every chaos answer is judged by one cold-run comparison
+// (coldRun.check).
 package main
 
 import (
@@ -62,19 +61,18 @@ import (
 )
 
 var (
-	addr     = flag.String("addr", "", "load mode: base URL of a running gliftd (e.g. http://127.0.0.1:8430)")
+	addr     = flag.String("addr", "", "stream mode: base URL of a running gliftd (e.g. http://127.0.0.1:8430)")
 	gliftd   = flag.String("gliftd", "", "chaos mode: path to the gliftd binary to spawn")
 	nJobs    = flag.Int("n", 200, "total submissions")
 	conc     = flag.Int("c", 8, "concurrent submitters")
 	tenants  = flag.Int("tenants", 1, "distinct X-Tenant values to spread submissions across")
 	distinct = flag.Int("distinct", 12, "distinct programs in the corpus")
-	chaos    = flag.Bool("chaos", false, "run the chaos harness instead of plain load")
+	chaos    = flag.Bool("chaos", false, "run the chaos harness against a spawned daemon")
 	kills    = flag.Int("kills", 3, "chaos: kill -9 + restart cycles during the submission storm")
 	killGap  = flag.Duration("kill-interval", 250*time.Millisecond, "chaos: pause between kill cycles")
 	storeDir = flag.String("store-dir", "", "chaos: store directory (default: a fresh temp dir)")
 	verbose  = flag.Bool("v", false, "log every acknowledgment")
 
-	stream      = flag.Bool("stream", false, "stream mode: consume each job's SSE event stream to its verdict")
 	p99Budget   = flag.Duration("p99-budget", 0, "stream mode: fail if submit-to-verdict p99 exceeds this (0: no gate)")
 	streamDump  = flag.String("stream-dump", "", "stream mode: append every received event to this file as NDJSON")
 	streamTrace = flag.Int("stream-trace", 0, "stream mode: request every N-th engine trace event per job (0: off)")
@@ -94,12 +92,10 @@ func main() {
 			os.Exit(2)
 		}
 		err = runChaos()
-	case *addr != "" && *stream:
-		err = runStream(*addr)
 	case *addr != "":
-		err = runLoad(*addr)
+		err = runStream(*addr)
 	default:
-		fmt.Fprintln(os.Stderr, "gliftload: give -addr (load mode) or -chaos -gliftd (chaos mode)")
+		fmt.Fprintln(os.Stderr, "gliftload: give -addr (stream mode) or -chaos -gliftd (chaos mode)")
 		os.Exit(2)
 	}
 	if err != nil {
@@ -178,58 +174,25 @@ func normalize(raw json.RawMessage) ([]byte, error) {
 	return json.Marshal(rj)
 }
 
-// ---- load mode -------------------------------------------------------------
-
-func runLoad(base string) error {
-	progs, err := corpus(*distinct)
-	if err != nil {
-		return err
-	}
-	var codes sync.Map // int -> *atomic.Int64
-	count := func(code int) {
-		v, _ := codes.LoadOrStore(code, new(atomic.Int64))
-		v.(*atomic.Int64).Add(1)
-	}
-	var next, attempts atomic.Int64
-	start := time.Now()
+// submitAll is the submission driver: n submissions from c concurrent
+// submitters, submission i carrying program i mod len(progs). Submitter w
+// has its own client on cfg with the X-Tenant label tenant-(w mod
+// -tenants), and hands each program to do.
+func submitAll(progs []prog, n, c int, cfg client.Config, do func(cl *client.Client, p *prog)) {
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < *conc; w++ {
+	for w := 0; w < c; w++ {
+		cfg.Tenant = fmt.Sprintf("tenant-%d", w%*tenants)
+		cl := client.New(cfg)
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			cl := client.New(client.Config{
-				BaseURL: base,
-				Tenant:  fmt.Sprintf("tenant-%d", w%*tenants),
-			})
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= *nJobs {
-					return
-				}
-				res, err := cl.Submit(context.Background(), &progs[i%len(progs)].req, true)
-				if err != nil {
-					count(-1)
-					continue
-				}
-				attempts.Add(int64(res.Attempts))
-				count(res.Code)
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				do(cl, &progs[i%len(progs)])
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	dur := time.Since(start)
-	fmt.Printf("gliftload: %d jobs in %s (%.1f jobs/s, %d submitters, %d tenants)\n",
-		*nJobs, dur.Round(time.Millisecond), float64(*nJobs)/dur.Seconds(), *conc, *tenants)
-	codes.Range(func(k, v any) bool {
-		if k.(int) == -1 {
-			fmt.Printf("  gave up:  %d\n", v.(*atomic.Int64).Load())
-		} else {
-			fmt.Printf("  HTTP %d: %d\n", k, v.(*atomic.Int64).Load())
-		}
-		return true
-	})
-	fmt.Printf("  attempts: %d (%.2f per job)\n", attempts.Load(), float64(attempts.Load())/float64(*nJobs))
-	return nil
 }
 
 // ---- stream mode -----------------------------------------------------------
@@ -290,80 +253,61 @@ func runStream(base string) error {
 	if err != nil {
 		return err
 	}
-	var dump *json.Encoder
-	var dumpMu sync.Mutex
+	var sink func(client.StreamEvent) error
 	if *streamDump != "" {
 		f, err := os.OpenFile(*streamDump, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		dump = json.NewEncoder(f)
+		dump := json.NewEncoder(f)
+		var dumpMu sync.Mutex
+		sink = func(ev client.StreamEvent) error {
+			dumpMu.Lock()
+			defer dumpMu.Unlock()
+			return dump.Encode(ev)
+		}
 	}
 
 	agg := &stageSamples{}
-	var next, failures atomic.Int64
+	var failures atomic.Int64
 	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < *conc; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cl := client.New(client.Config{
-				BaseURL: base,
-				Tenant:  fmt.Sprintf("tenant-%d", w%*tenants),
-			})
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= *nJobs {
-					return
-				}
-				req := progs[i%len(progs)].req
-				req.Options.StreamTrace = *streamTrace
-				t0 := time.Now()
-				res, err := cl.Submit(context.Background(), &req, false)
-				if err != nil || res.Status.ID == "" {
-					failures.Add(1)
-					continue
-				}
-				var sink func(client.StreamEvent) error
-				if dump != nil {
-					sink = func(ev client.StreamEvent) error {
-						dumpMu.Lock()
-						defer dumpMu.Unlock()
-						return dump.Encode(ev)
-					}
-				}
-				sr, err := cl.StreamToVerdict(context.Background(), res.Status.ID, sink)
-				if err != nil {
-					failures.Add(1)
-					continue
-				}
-				agg.add(submitToVerdict, time.Since(t0))
-				agg.count(sr)
-				st := sr.Verdict.Stages
-				for stage, ns := range map[string]int64{
-					service.StageQueueWait: st.QueueWaitNS,
-					service.StageEngineRun: st.EngineRunNS,
-					service.StagePersist:   st.PersistNS,
-					service.StageCacheHit:  st.CacheHitNS,
-				} {
-					if ns > 0 {
-						agg.add(stage, time.Duration(ns))
-					}
-				}
-				if *verbose {
-					total := 0
-					for _, n := range sr.Events {
-						total += n
-					}
-					fmt.Printf("  verdict %s: %s (%d events, %d lost)\n",
-						sr.Verdict.ID, sr.Verdict.Verdict, total, sr.Lost)
-				}
+	submitAll(progs, *nJobs, *conc, client.Config{BaseURL: base}, func(cl *client.Client, p *prog) {
+		req := p.req
+		req.Options.StreamTrace = *streamTrace
+		t0 := time.Now()
+		res, err := cl.Submit(context.Background(), &req, false)
+		if err != nil || res.Status.ID == "" {
+			failures.Add(1)
+			return
+		}
+		sr, err := cl.StreamToVerdict(context.Background(), res.Status.ID, sink)
+		if err != nil {
+			failures.Add(1)
+			return
+		}
+		agg.add(submitToVerdict, time.Since(t0))
+		agg.count(sr)
+		st := sr.Verdict.Stages
+		for stage, ns := range map[string]int64{
+			service.StageQueueWait: st.QueueWaitNS,
+			service.StageEngineRun: st.EngineRunNS,
+			service.StagePersist:   st.PersistNS,
+			service.StageCacheHit:  st.CacheHitNS,
+		} {
+			if ns > 0 {
+				agg.add(stage, time.Duration(ns))
 			}
-		}(w)
-	}
-	wg.Wait()
+		}
+		if *verbose {
+			total := 0
+			for _, n := range sr.Events {
+				total += n
+			}
+			fmt.Printf("  verdict %s: %s (%d events, %d lost)\n",
+				sr.Verdict.ID, sr.Verdict.Verdict, total, sr.Lost)
+		}
+	})
 	dur := time.Since(start)
 
 	done := len(agg.samples[submitToVerdict])
@@ -415,6 +359,19 @@ type daemon struct {
 	cmd  *exec.Cmd
 }
 
+// spawn starts a gliftd with two workers and a 64-job queue plus extra
+// flags, on a free localhost port.
+func spawn(extra ...string) (*daemon, error) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	addr := l.Addr().String()
+	l.Close()
+	d := &daemon{bin: *gliftd, addr: addr, args: append([]string{"-workers", "2", "-queue", "64"}, extra...)}
+	return d, d.start()
+}
+
 func (d *daemon) base() string { return "http://" + d.addr }
 
 func (d *daemon) start() error {
@@ -452,50 +409,74 @@ func (d *daemon) kill9() {
 	d.cmd = nil
 }
 
-// freeAddr reserves a localhost port and releases it for the daemon to bind.
-func freeAddr() (string, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr, nil
+// metrics reads the daemon's /metrics.json, retrying briefly.
+func (d *daemon) metrics() (service.MetricsJSON, error) {
+	cl := client.New(client.Config{BaseURL: d.base(), MaxAttempts: 50,
+		BaseBackoff: 10 * time.Millisecond, MaxBackoff: 250 * time.Millisecond})
+	return cl.MetricsJSON(context.Background())
 }
 
-// reference computes the cold-run truth in-process: a fresh memory-only
-// service answers every corpus program once, and those (normalized) bytes
-// are what every chaos phase must reproduce.
-func reference(progs []prog) (map[string][]byte, map[string]int, error) {
+// coldRun is the truth every chaos phase must reproduce: each program's
+// HTTP status and normalized report bytes from a fresh in-process,
+// memory-only service.
+type coldRun map[string]coldAnswer
+
+type coldAnswer struct {
+	code   int
+	report []byte
+}
+
+// reference computes the cold run: a fresh memory-only service answers
+// every corpus program once.
+func reference(progs []prog) (coldRun, error) {
 	srv, err := service.New(service.Config{Workers: 2, QueueDepth: 64, EngineWorkers: 1})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer srv.Close()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	hs := &http.Server{Handler: srv.Handler()}
 	go hs.Serve(l) //nolint:errcheck
 	defer hs.Close()
 
 	cl := client.New(client.Config{BaseURL: "http://" + l.Addr().String()})
-	wantBytes := make(map[string][]byte, len(progs))
-	wantCode := make(map[string]int, len(progs))
+	cold := make(coldRun, len(progs))
 	for i := range progs {
 		res, err := cl.Submit(context.Background(), &progs[i].req, true)
 		if err != nil {
-			return nil, nil, fmt.Errorf("reference %s: %w", progs[i].name, err)
+			return nil, fmt.Errorf("reference %s: %w", progs[i].name, err)
 		}
 		norm, err := normalize(res.RawReport)
 		if err != nil {
-			return nil, nil, fmt.Errorf("reference %s: %w", progs[i].name, err)
+			return nil, fmt.Errorf("reference %s: %w", progs[i].name, err)
 		}
-		wantBytes[progs[i].name] = norm
-		wantCode[progs[i].name] = res.Code
+		cold[progs[i].name] = coldAnswer{code: res.Code, report: norm}
 	}
-	return wantBytes, wantCode, nil
+	return cold, nil
+}
+
+// check is the cold-run comparison: it reports whether an answer for p has
+// the cold run's HTTP status and normalized report bytes, recording an
+// integrity violation tagged with phase when it does not.
+func (cold coldRun) check(phase string, p *prog, res *client.Result) bool {
+	want := cold[p.name]
+	if res.Code != want.code {
+		violate("[%s] %s: HTTP %d, cold run said %d", phase, p.name, res.Code, want.code)
+		return false
+	}
+	norm, err := normalize(res.RawReport)
+	if err != nil {
+		violate("[%s] %s: report unparseable: %v", phase, p.name, err)
+		return false
+	}
+	if !bytes.Equal(norm, want.report) {
+		violate("[%s] %s: report differs from cold run\n  cold %s\n  got  %s", phase, p.name, want.report, norm)
+		return false
+	}
+	return true
 }
 
 // violations counts integrity failures across all phases; any non-zero
@@ -516,21 +497,15 @@ func runChaos() error {
 		*nJobs, len(progs), *conc, *kills)
 
 	fmt.Println("gliftload: computing in-process cold-run reference...")
-	wantBytes, wantCode, err := reference(progs)
+	cold, err := reference(progs)
 	if err != nil {
 		return err
 	}
-
-	if err := phaseKill9(progs, wantBytes, wantCode); err != nil {
-		return err
+	for _, phase := range []func([]prog, coldRun) error{phaseKill9, phaseDiskFull, phaseInject503} {
+		if err := phase(progs, cold); err != nil {
+			return err
+		}
 	}
-	if err := phaseDiskFull(progs, wantBytes, wantCode); err != nil {
-		return err
-	}
-	if err := phaseInject503(progs, wantBytes, wantCode); err != nil {
-		return err
-	}
-
 	if n := violations.Load(); n > 0 {
 		return fmt.Errorf("%d integrity violations", n)
 	}
@@ -539,7 +514,7 @@ func runChaos() error {
 
 // phaseKill9 runs the submission storm against a daemon that is repeatedly
 // SIGKILLed mid-flight with slowed store writes, then proves recovery.
-func phaseKill9(progs []prog, wantBytes map[string][]byte, wantCode map[string]int) error {
+func phaseKill9(progs []prog, cold coldRun) error {
 	dir := *storeDir
 	if dir == "" {
 		var err error
@@ -548,71 +523,12 @@ func phaseKill9(progs []prog, wantBytes map[string][]byte, wantCode map[string]i
 		}
 		defer os.RemoveAll(dir)
 	}
-	addr, err := freeAddr()
+	d, err := spawn("-store-dir", dir, "-chaos-slow-write", "25ms")
 	if err != nil {
 		return err
 	}
-	d := &daemon{bin: *gliftd, addr: addr, args: []string{
-		"-workers", "2", "-queue", "64", "-engine-workers", "1",
-		"-store-dir", dir, "-chaos-slow-write", "25ms",
-	}}
-	if err := d.start(); err != nil {
-		return err
-	}
 	defer d.kill9()
-	fmt.Printf("gliftload: [kill -9] daemon on %s, store %s\n", addr, dir)
-
-	// Acknowledged results: name -> exact served bytes. Every later
-	// response for the same program must match exactly.
-	var mu sync.Mutex
-	acked := make(map[string][]byte)
-	ackedCode := make(map[string]int)
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < *conc; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cl := client.New(client.Config{
-				BaseURL: d.base(), MaxAttempts: 200,
-				BaseBackoff: 10 * time.Millisecond, MaxBackoff: 250 * time.Millisecond,
-				Tenant: fmt.Sprintf("tenant-%d", w%*tenants),
-			})
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= *nJobs {
-					return
-				}
-				p := &progs[i%len(progs)]
-				res, err := cl.Submit(context.Background(), &p.req, true)
-				if err != nil {
-					// Gave up during an outage window: not an integrity
-					// violation, just lost coverage; another pass of the
-					// same program will land.
-					continue
-				}
-				if res.Code != wantCode[p.name] {
-					violate("%s: acknowledged HTTP %d, cold run said %d", p.name, res.Code, wantCode[p.name])
-					continue
-				}
-				if *verbose {
-					fmt.Printf("  ack %s (HTTP %d, %d attempts)\n", p.name, res.Code, res.Attempts)
-				}
-				mu.Lock()
-				if prev, ok := acked[p.name]; ok {
-					if !bytes.Equal(prev, res.RawReport) {
-						violate("%s: served bytes changed after acknowledgment\n  first %s\n  now   %s",
-							p.name, prev, res.RawReport)
-					}
-				} else {
-					acked[p.name] = append([]byte(nil), res.RawReport...)
-					ackedCode[p.name] = res.Code
-				}
-				mu.Unlock()
-			}
-		}(w)
-	}
+	fmt.Printf("gliftload: [kill -9] daemon on %s, store %s\n", d.addr, dir)
 
 	// The killer: SIGKILL + restart cycles while the storm runs.
 	killerDone := make(chan struct{})
@@ -628,7 +544,36 @@ func phaseKill9(progs []prog, wantBytes map[string][]byte, wantCode map[string]i
 			}
 		}
 	}()
-	wg.Wait()
+
+	// Acknowledged results: name -> exact served bytes. Every later
+	// response for the same program must match exactly.
+	var mu sync.Mutex
+	acked := make(map[string][]byte)
+	submitAll(progs, *nJobs, *conc, client.Config{BaseURL: d.base(), MaxAttempts: 200,
+		BaseBackoff: 10 * time.Millisecond, MaxBackoff: 250 * time.Millisecond},
+		func(cl *client.Client, p *prog) {
+			res, err := cl.Submit(context.Background(), &p.req, true)
+			if err != nil {
+				// Gave up during an outage window: not an integrity
+				// violation, just lost coverage; another pass of the
+				// same program will land.
+				return
+			}
+			if !cold.check("kill -9", p, res) {
+				return
+			}
+			if *verbose {
+				fmt.Printf("  ack %s (HTTP %d, %d attempts)\n", p.name, res.Code, res.Attempts)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if prev, ok := acked[p.name]; !ok {
+				acked[p.name] = append([]byte(nil), res.RawReport...)
+			} else if !bytes.Equal(prev, res.RawReport) {
+				violate("[kill -9] %s: served bytes changed after acknowledgment\n  first %s\n  now   %s",
+					p.name, prev, res.RawReport)
+			}
+		})
 	<-killerDone
 
 	// Final restart: the memory cache is gone; everything acknowledged must
@@ -637,9 +582,7 @@ func phaseKill9(progs []prog, wantBytes map[string][]byte, wantCode map[string]i
 	if err := d.start(); err != nil {
 		return err
 	}
-	cl := client.New(client.Config{BaseURL: d.base(), MaxAttempts: 50,
-		BaseBackoff: 10 * time.Millisecond, MaxBackoff: 250 * time.Millisecond})
-	pre, err := cl.MetricsJSON(context.Background())
+	pre, err := d.metrics()
 	if err != nil {
 		return err
 	}
@@ -648,30 +591,29 @@ func phaseKill9(progs []prog, wantBytes map[string][]byte, wantCode map[string]i
 	if len(acked) == 0 {
 		violate("no job was ever acknowledged — the harness proved nothing")
 	}
-	for name, want := range acked {
-		p := findProg(progs, name)
-		res, err := cl.Submit(context.Background(), &p.req, true)
-		if err != nil {
-			violate("%s: post-recovery fetch failed: %v", name, err)
+	cl := client.New(client.Config{BaseURL: d.base(), MaxAttempts: 50,
+		BaseBackoff: 10 * time.Millisecond, MaxBackoff: 250 * time.Millisecond})
+	for i := range progs {
+		p := &progs[i]
+		want, ok := acked[p.name]
+		if !ok {
 			continue
 		}
-		if res.Code != ackedCode[name] {
-			violate("%s: post-recovery HTTP %d, acknowledged %d", name, res.Code, ackedCode[name])
+		res, err := cl.Submit(context.Background(), &p.req, true)
+		if err != nil {
+			violate("[kill -9 recovery] %s: fetch failed: %v", p.name, err)
+			continue
 		}
 		if !res.Status.CacheHit {
-			violate("%s: acknowledged result was NOT recovered (engine re-ran after restart)", name)
+			violate("[kill -9 recovery] %s: acknowledged result was NOT recovered (engine re-ran after restart)", p.name)
 		}
 		if !bytes.Equal(res.RawReport, want) {
-			violate("%s: recovered bytes differ from acknowledged bytes\n  acked %s\n  now   %s", name, want, res.RawReport)
+			violate("[kill -9 recovery] %s: recovered bytes differ from acknowledged bytes\n  acked %s\n  now   %s",
+				p.name, want, res.RawReport)
 		}
-		norm, err := normalize(res.RawReport)
-		if err != nil {
-			violate("%s: recovered report unparseable: %v", name, err)
-		} else if !bytes.Equal(norm, wantBytes[name]) {
-			violate("%s: recovered report differs from cold run\n  cold %s\n  got  %s", name, wantBytes[name], norm)
-		}
+		cold.check("kill -9 recovery", p, res)
 	}
-	post, err := cl.MetricsJSON(context.Background())
+	post, err := d.metrics()
 	if err != nil {
 		return err
 	}
@@ -682,56 +624,31 @@ func phaseKill9(progs []prog, wantBytes map[string][]byte, wantCode map[string]i
 	return nil
 }
 
-func findProg(progs []prog, name string) *prog {
-	for i := range progs {
-		if progs[i].name == name {
-			return &progs[i]
-		}
-	}
-	panic("unknown program " + name)
-}
-
 // phaseDiskFull proves a store too small for any record degrades to
 // memory-only operation with correct verdicts.
-func phaseDiskFull(progs []prog, wantBytes map[string][]byte, wantCode map[string]int) error {
+func phaseDiskFull(progs []prog, cold coldRun) error {
 	dir, err := os.MkdirTemp("", "gliftload-full-*")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	addr, err := freeAddr()
+	d, err := spawn("-store-dir", dir, "-store-max-bytes", "128")
 	if err != nil {
 		return err
 	}
-	d := &daemon{bin: *gliftd, addr: addr, args: []string{
-		"-workers", "2", "-queue", "64", "-engine-workers", "1",
-		"-store-dir", dir, "-store-max-bytes", "128",
-	}}
-	if err := d.start(); err != nil {
-		return err
-	}
 	defer d.kill9()
-	fmt.Printf("gliftload: [disk-full] daemon on %s, store capped at 128 bytes\n", addr)
+	fmt.Printf("gliftload: [disk-full] daemon on %s, store capped at 128 bytes\n", d.addr)
 
 	cl := client.New(client.Config{BaseURL: d.base(), MaxAttempts: 20})
 	for i := range progs {
-		p := &progs[i]
-		res, err := cl.Submit(context.Background(), &p.req, true)
+		res, err := cl.Submit(context.Background(), &progs[i].req, true)
 		if err != nil {
-			violate("[disk-full] %s: %v", p.name, err)
+			violate("[disk-full] %s: %v", progs[i].name, err)
 			continue
 		}
-		if res.Code != wantCode[p.name] {
-			violate("[disk-full] %s: HTTP %d, cold run said %d", p.name, res.Code, wantCode[p.name])
-		}
-		norm, err := normalize(res.RawReport)
-		if err != nil {
-			violate("[disk-full] %s: %v", p.name, err)
-		} else if !bytes.Equal(norm, wantBytes[p.name]) {
-			violate("[disk-full] %s: verdict differs from cold run", p.name)
-		}
+		cold.check("disk-full", &progs[i], res)
 	}
-	m, err := cl.MetricsJSON(context.Background())
+	m, err := d.metrics()
 	if err != nil {
 		return err
 	}
@@ -748,56 +665,27 @@ func phaseDiskFull(progs []prog, wantBytes map[string][]byte, wantCode map[strin
 
 // phaseInject503 proves the client discipline absorbs spurious 503s with no
 // effect on outcomes.
-func phaseInject503(progs []prog, wantBytes map[string][]byte, wantCode map[string]int) error {
-	addr, err := freeAddr()
+func phaseInject503(progs []prog, cold coldRun) error {
+	d, err := spawn("-chaos-inject-503", "40")
 	if err != nil {
 		return err
 	}
-	d := &daemon{bin: *gliftd, addr: addr, args: []string{
-		"-workers", "2", "-queue", "64", "-engine-workers", "1",
-		"-chaos-inject-503", "40",
-	}}
-	if err := d.start(); err != nil {
-		return err
-	}
 	defer d.kill9()
-	fmt.Printf("gliftload: [inject-503] daemon on %s, 40%% spurious rejections\n", addr)
+	fmt.Printf("gliftload: [inject-503] daemon on %s, 40%% spurious rejections\n", d.addr)
 
-	var next, attempts atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < *conc; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl := client.New(client.Config{BaseURL: d.base(), MaxAttempts: 100,
-				BaseBackoff: 5 * time.Millisecond, MaxBackoff: 100 * time.Millisecond})
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= *nJobs {
-					return
-				}
-				p := &progs[i%len(progs)]
-				res, err := cl.Submit(context.Background(), &p.req, true)
-				if err != nil {
-					violate("[inject-503] %s: %v", p.name, err)
-					continue
-				}
-				attempts.Add(int64(res.Attempts))
-				if res.Code != wantCode[p.name] {
-					violate("[inject-503] %s: HTTP %d, cold run said %d", p.name, res.Code, wantCode[p.name])
-					continue
-				}
-				norm, err := normalize(res.RawReport)
-				if err != nil {
-					violate("[inject-503] %s: %v", p.name, err)
-				} else if !bytes.Equal(norm, wantBytes[p.name]) {
-					violate("[inject-503] %s: verdict differs from cold run", p.name)
-				}
+	var attempts atomic.Int64
+	submitAll(progs, *nJobs, *conc, client.Config{BaseURL: d.base(), MaxAttempts: 100,
+		BaseBackoff: 5 * time.Millisecond, MaxBackoff: 100 * time.Millisecond},
+		func(cl *client.Client, p *prog) {
+			res, err := cl.Submit(context.Background(), &p.req, true)
+			if err != nil {
+				violate("[inject-503] %s: %v", p.name, err)
+				return
 			}
-		}()
-	}
-	wg.Wait()
-	m, err := cl503Metrics(d)
+			attempts.Add(int64(res.Attempts))
+			cold.check("inject-503", p, res)
+		})
+	m, err := d.metrics()
 	if err != nil {
 		return err
 	}
@@ -807,10 +695,4 @@ func phaseInject503(progs []prog, wantBytes map[string][]byte, wantCode map[stri
 	fmt.Printf("gliftload: [inject-503] %d jobs landed through %d injected 503s (%.2f attempts/job)\n",
 		*nJobs, m.ChaosInjected, float64(attempts.Load())/float64(*nJobs))
 	return nil
-}
-
-func cl503Metrics(d *daemon) (service.MetricsJSON, error) {
-	cl := client.New(client.Config{BaseURL: d.base(), MaxAttempts: 50,
-		BaseBackoff: 5 * time.Millisecond, MaxBackoff: 100 * time.Millisecond})
-	return cl.MetricsJSON(context.Background())
 }

@@ -87,12 +87,7 @@ func main() {
 		defer cancel()
 	}
 
-	rng := uint16(*seed) | 1
-	next := func() uint16 {
-		bit := (rng>>0 ^ rng>>2 ^ rng>>3 ^ rng>>5) & 1
-		rng = rng>>1 | bit<<15
-		return rng
-	}
+	rng := mcu.LFSR(uint16(*seed) | 1)
 	sys.PowerOn()
 	insns := uint64(0)
 	for sys.Cycle < *cycles {
@@ -106,7 +101,7 @@ func main() {
 		case *p1 >= 0:
 			sys.SetPortIn(0, sim.ConcreteWord(uint16(*p1)))
 		default:
-			sys.SetPortIn(0, sim.ConcreteWord(next()))
+			sys.SetPortIn(0, sim.ConcreteWord(rng.Next()))
 		}
 		ci := sys.EvalCycle(nil)
 		if !ci.PmemOK {

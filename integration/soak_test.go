@@ -202,7 +202,7 @@ func TestStreamLatencyGate(t *testing.T) {
 	gl := tool(t, "gliftload")
 	dump := filepath.Join(t.TempDir(), "events.ndjson")
 
-	out, err := exec.Command(gl, "-addr", "http://"+addr, "-stream",
+	out, err := exec.Command(gl, "-addr", "http://"+addr,
 		"-n", "24", "-distinct", "6", "-c", "4", "-stream-trace", "4",
 		"-p99-budget", "120s", "-stream-dump", dump).CombinedOutput()
 	if err != nil {
@@ -224,7 +224,7 @@ func TestStreamLatencyGate(t *testing.T) {
 	}
 
 	// The gate must bite: a 1ns budget cannot be met by any real run.
-	out, err = exec.Command(gl, "-addr", "http://"+addr, "-stream",
+	out, err = exec.Command(gl, "-addr", "http://"+addr,
 		"-n", "6", "-distinct", "3", "-c", "2", "-p99-budget", "1ns").CombinedOutput()
 	if err == nil {
 		t.Fatalf("a 1ns p99 budget did not fail the run:\n%s", out)

@@ -8,19 +8,7 @@ import (
 	"repro/internal/glift"
 	"repro/internal/mcu"
 	"repro/internal/sim"
-	"repro/internal/transform"
 )
-
-// lfsr is the deterministic input-sample generator for concrete runs.
-type lfsr uint16
-
-func (l *lfsr) next() uint16 {
-	v := uint16(*l)
-	bit := (v>>0 ^ v>>2 ^ v>>3 ^ v>>5) & 1
-	v = v>>1 | bit<<15
-	*l = lfsr(v)
-	return v
-}
 
 // Measurement is the concrete-execution profile of one system variant.
 type Measurement struct {
@@ -71,7 +59,7 @@ func MeasureContext(ctx context.Context, bt *Built, seed uint16, maxCycles uint6
 		return nil, fmt.Errorf("bench %s (%s): %w", bt.Bench.Name, bt.Variant, err)
 	}
 
-	rng := lfsr(seed | 1)
+	rng := mcu.LFSR(seed | 1)
 	sys.PowerOn()
 
 	type mark struct {
@@ -84,7 +72,7 @@ func MeasureContext(ctx context.Context, bt *Built, seed uint16, maxCycles uint6
 		if sys.Cycle&1023 == 0 && ctx.Err() != nil {
 			return nil, fmt.Errorf("bench %s (%s): measurement cancelled at cycle %d: %w", bt.Bench.Name, bt.Variant, sys.Cycle, ctx.Err())
 		}
-		sys.SetPortIn(0, sim.ConcreteWord(rng.next()))
+		sys.SetPortIn(0, sim.ConcreteWord(rng.Next()))
 		ci := sys.EvalCycle(nil)
 		if !ci.PmemOK {
 			return nil, fmt.Errorf("bench %s (%s): PC unknown at cycle %d", bt.Bench.Name, bt.Variant, sys.Cycle)
@@ -317,5 +305,3 @@ func ReductionFactor(rows []Table3Row) float64 {
 	}
 	return sa / sw
 }
-
-var _ = transform.WdtPlan{}

@@ -107,6 +107,20 @@ func (s *System) SetPortIn(i int, w sim.Word) {
 	s.applyPortIn()
 }
 
+// LFSR is the deterministic port-input sampler of concrete runs: a 16-bit
+// Fibonacci shift register with taps at bits 0, 2, 3 and 5. Seed it with
+// an odd value; a zero register stays zero.
+type LFSR uint16
+
+// Next advances the register and returns its new value.
+func (l *LFSR) Next() uint16 {
+	v := uint16(*l)
+	bit := (v>>0 ^ v>>2 ^ v>>3 ^ v>>5) & 1
+	v = v>>1 | bit<<15
+	*l = LFSR(v)
+	return v
+}
+
 func (s *System) applyPortIn() {
 	for i := 0; i < NumPorts; i++ {
 		for bit := 0; bit < 16; bit++ {

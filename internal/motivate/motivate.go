@@ -5,7 +5,9 @@
 // the same application repaired by masking. Together they make the paper's
 // argument: application knowledge turns "must assume every violation is
 // possible" into a per-application guarantee, and software-only repairs
-// suffice.
+// suffice. The package also holds the Figure 8 and Figure 9
+// micro-benchmarks as scenarios, shared by cmd/experiments and the root
+// benchmark harness.
 package motivate
 
 import (
@@ -15,7 +17,8 @@ import (
 	"repro/internal/glift"
 )
 
-// Scenario is one motivating example.
+// Scenario is one motivating example or micro-benchmark. The code between
+// its t_start and t_end labels, when it has them, is tainted code.
 type Scenario struct {
 	Figure  int
 	Name    string
@@ -229,4 +232,104 @@ func RunAll(opt *glift.Options) ([]*Result, error) {
 		out = append(out, r)
 	}
 	return out, nil
+}
+
+// microPolicy is the Figures 8 and 9 policy: P1 tainted in and the
+// 0x0400-0x0800 partition tainted. Figure 8's unprotected task also runs
+// from tainted code words.
+func microPolicy(taintCodeWords bool) *glift.Policy {
+	return &glift.Policy{
+		Name:           "integrity",
+		TaintedInPorts: []int{0},
+		TaintedData:    []glift.AddrRange{{Lo: 0x0400, Hi: 0x0800}},
+		TaintCodeWords: taintCodeWords,
+	}
+}
+
+// Figure8 returns the Figure 8 micro-benchmarks: a task that loops in
+// tainted code with no way back to a trusted PC, and the same task bounded
+// by the watchdog timer.
+func Figure8() []*Scenario {
+	return []*Scenario{
+		{
+			Figure: 8,
+			Name:   "unprotected",
+			Source: `
+start:  nop
+t_start: mov #100, r10
+loop:   nop
+        nop
+        dec r10
+        jnz loop
+        jmp start
+t_end:  nop
+`,
+			Policy: microPolicy(true),
+			Expect: "once the PC is tainted it never becomes untainted again",
+		},
+		{
+			Figure: 8,
+			Name:   "watchdog-protected",
+			Source: `
+.equ WDTCTL, 0x0120
+start:  mov #0x5a03, &WDTCTL
+t_start: mov &0x0020, r10
+        and #3, r10
+loop:   nop
+        dec r10
+        jnz loop
+spin:   jmp spin
+t_end:  nop
+`,
+			Policy: microPolicy(false),
+			Secure: true,
+			Expect: "each execution of the untainted code section has a trusted PC",
+		},
+	}
+}
+
+// Figure9 returns the Figure 9 micro-benchmarks: a store through an address
+// computed from the tainted input, unmasked and masked into the tainted
+// partition.
+func Figure9() []*Scenario {
+	return []*Scenario{
+		{
+			Figure: 9,
+			Name:   "unmasked",
+			Source: `
+start:  mov #4096, &0x0450
+        mov #0x0449, r15
+        mov.b #1, 0(r15)
+        mov &0x0020, r15     ; read untrusted input
+        mov #0x0200, r14
+        add r15, r14
+        mov #500, 0(r14)
+        mov r15, &0x0400
+done:   jmp done
+`,
+			Policy: microPolicy(false),
+			Expect: "the store taints the whole data memory space",
+		},
+		{
+			Figure: 9,
+			Name:   "masked",
+			Source: `
+start:  mov #4096, &0x0450
+        mov #0x0449, r15
+        mov.b #1, 0(r15)
+        mov &0x0020, r15
+        mov #0x0200, r14
+        add r15, r14
+        and #0x03ff, r14
+        bis #0x0400, r14
+        mov #500, 0(r14)
+        mov r15, &0x0400
+done:   jmp done
+`,
+			// The mask confines the store; the listing is still not secure,
+			// because its untainted code reads the tainted port.
+			Policy: microPolicy(false),
+			Expect: "no untainted memory locations become tainted",
+		},
+	}
 }

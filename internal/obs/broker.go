@@ -28,12 +28,12 @@ type StreamEvent struct {
 	Data []byte
 }
 
-// Broker is a bounded in-process pub/sub hub: named topics, each a fixed-
-// capacity ring of StreamEvents with monotonically increasing sequence
-// numbers. Publishing never blocks and never drops the newest event —
-// under backpressure the oldest retained events are evicted and a slow
-// subscriber observes the loss as a gap (Subscription.Next reports how many
-// events it skipped), never as silent corruption. Subscribers pull at their
+// Broker is a bounded in-process pub/sub hub: named topics, each a bounded
+// ring of StreamEvents with monotonically increasing sequence numbers.
+// Publishing never blocks and never drops the newest event — under
+// backpressure the oldest retained events are evicted and a slow subscriber
+// observes the loss as a gap (Subscription.Next reports how many events it
+// skipped), never as silent corruption. Subscribers pull at their
 // own pace through a per-subscription cursor, which is what makes
 // Last-Event-ID resume after a reconnect a one-line operation.
 //
@@ -47,12 +47,14 @@ type Broker struct {
 }
 
 // topic is one event stream: a ring of the most recent events plus a
-// broadcast channel subscribers park on while the ring is drained.
+// broadcast channel subscribers park on while the ring is drained. The ring
+// grows by appending up to the broker's bound and only then wraps, so a
+// topic holds memory for the events it has seen, not for the bound: most
+// jobs publish a handful of events, and topics live as long as the broker.
 type topic struct {
 	mu      sync.Mutex
 	ring    []StreamEvent
-	start   int // ring index of the oldest retained event
-	count   int
+	start   int // ring index of the oldest retained event (0 until it wraps)
 	nextSeq uint64
 	closed  bool
 	wake    chan struct{} // closed and replaced on every publish/close
@@ -73,10 +75,7 @@ func NewBroker(ringEvents int) *Broker {
 func (b *Broker) Open(name string) {
 	b.mu.Lock()
 	if _, ok := b.topics[name]; !ok {
-		b.topics[name] = &topic{
-			ring: make([]StreamEvent, b.ringCap),
-			wake: make(chan struct{}),
-		}
+		b.topics[name] = &topic{wake: make(chan struct{})}
 	}
 	b.mu.Unlock()
 }
@@ -101,9 +100,8 @@ func (b *Broker) Publish(name, typ string, data []byte) uint64 {
 	}
 	t.nextSeq++
 	ev := StreamEvent{Seq: t.nextSeq, Type: typ, Data: data}
-	if t.count < len(t.ring) {
-		t.ring[(t.start+t.count)%len(t.ring)] = ev
-		t.count++
+	if len(t.ring) < b.ringCap {
+		t.ring = append(t.ring, ev)
 	} else {
 		t.ring[t.start] = ev
 		t.start = (t.start + 1) % len(t.ring)
@@ -198,15 +196,15 @@ func (s *Subscription) Next(ctx context.Context) (StreamEvent, uint64, error) {
 	for {
 		s.t.mu.Lock()
 		var lost uint64
-		if s.t.count > 0 {
+		if n := len(s.t.ring); n > 0 {
 			oldest := s.t.ring[s.t.start].Seq
-			latest := oldest + uint64(s.t.count) - 1
+			latest := oldest + uint64(n) - 1
 			if s.cursor < oldest {
 				lost = oldest - s.cursor
 				s.cursor = oldest
 			}
 			if s.cursor <= latest {
-				ev := s.t.ring[(s.t.start+int(s.cursor-oldest))%len(s.t.ring)]
+				ev := s.t.ring[(s.t.start+int(s.cursor-oldest))%n]
 				s.cursor++
 				s.t.mu.Unlock()
 				return ev, lost, nil

@@ -65,6 +65,23 @@ func TestBrokerGapOnOverflow(t *testing.T) {
 	}
 }
 
+// TestBrokerRingGrowsOnDemand: a topic holding a few events keeps a few
+// slots, not the broker's whole bound; a full ring stops growing and wraps.
+func TestBrokerRingGrowsOnDemand(t *testing.T) {
+	b := NewBroker(0) // DefaultRingEvents
+	b.Open("hit")
+	b.Publish("hit", "verdict", nil)
+	if n := cap(b.topic("hit").ring); n >= DefaultRingEvents {
+		t.Errorf("a one-event topic holds %d slots, want fewer than %d", n, DefaultRingEvents)
+	}
+	for i := 0; i < 3*DefaultRingEvents; i++ {
+		b.Publish("busy", "e", nil)
+	}
+	if n := len(b.topic("busy").ring); n != DefaultRingEvents {
+		t.Errorf("a full topic holds %d events, want the bound %d", n, DefaultRingEvents)
+	}
+}
+
 // TestBrokerResume: subscribing with a Last-Event-ID cursor replays only
 // later events; a cursor past the newest event clamps instead of hanging.
 func TestBrokerResume(t *testing.T) {

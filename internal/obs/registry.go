@@ -203,6 +203,20 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 	return &Counter{c: v.f.child(labelValues)}
 }
 
+// Values returns the value of every series created so far, keyed by its
+// label values joined with U+001F (the label value itself in a one-label
+// family). Unlike With it creates no series, so reading a family never adds
+// a line to the exposition.
+func (v *CounterVec) Values() map[string]float64 {
+	v.f.mu.RLock()
+	defer v.f.mu.RUnlock()
+	out := make(map[string]float64, len(v.f.children))
+	for k, c := range v.f.children {
+		out[k] = math.Float64frombits(c.valBits.Load())
+	}
+	return out
+}
+
 // GaugeVec is a gauge family with labels.
 type GaugeVec struct{ f *family }
 
@@ -217,6 +231,18 @@ type HistogramVec struct{ f *family }
 // With returns the series for the given label values.
 func (v *HistogramVec) With(labelValues ...string) *Histogram {
 	return &Histogram{f: v.f, c: v.f.child(labelValues)}
+}
+
+// Count returns the number of observations across every series of the
+// family. It creates no series.
+func (v *HistogramVec) Count() uint64 {
+	v.f.mu.RLock()
+	defer v.f.mu.RUnlock()
+	var n uint64
+	for _, c := range v.f.children {
+		n += c.count.Load()
+	}
+	return n
 }
 
 // Counter registers (or fetches) an unlabeled counter.

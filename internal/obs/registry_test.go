@@ -245,3 +245,37 @@ func TestReRegistrationAndMismatch(t *testing.T) {
 	}()
 	r.Gauge("dup_total", "help")
 }
+
+// TestVecReadsCreateNoSeries: CounterVec.Values and HistogramVec.Count read
+// only the series updates created; reading an empty family adds no line to
+// the exposition.
+func TestVecReadsCreateNoSeries(t *testing.T) {
+	r := NewRegistry()
+	cv := r.CounterVec("reads_jobs_total", "Jobs by verdict.", "verdict")
+	hv := r.HistogramVec("reads_run_seconds", "Run time by verdict.", []float64{1}, "verdict")
+	if v := cv.Values(); len(v) != 0 {
+		t.Errorf("empty counter family Values = %v", v)
+	}
+	if n := hv.Count(); n != 0 {
+		t.Errorf("empty histogram family Count = %d", n)
+	}
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "{") {
+		t.Errorf("reading empty families created series:\n%s", buf.String())
+	}
+
+	cv.With("verified").Add(3)
+	cv.With("violations").Inc()
+	hv.With("verified").Observe(0.5)
+	hv.With("violations").Observe(2)
+	hv.With("violations").Observe(3)
+	if v := cv.Values(); len(v) != 2 || v["verified"] != 3 || v["violations"] != 1 {
+		t.Errorf("Values = %v, want verified 3 and violations 1", v)
+	}
+	if n := hv.Count(); n != 3 {
+		t.Errorf("Count = %d, want 3 across both series", n)
+	}
+}

@@ -215,16 +215,11 @@ func (s *System) MeasureRound(seed uint16, maxCycles uint64) (uint64, error) {
 	sys.SetResetVector(s.Img.Entry)
 
 	sched := s.Img.MustSymbol("sched")
-	rng := uint16(seed | 1)
-	next := func() uint16 {
-		bit := (rng>>0 ^ rng>>2 ^ rng>>3 ^ rng>>5) & 1
-		rng = rng>>1 | bit<<15
-		return rng
-	}
+	rng := mcu.LFSR(seed | 1)
 	sys.PowerOn()
 	var marks []uint64
 	for sys.Cycle < maxCycles && len(marks) < 3 {
-		sys.SetPortIn(0, sim.ConcreteWord(next()))
+		sys.SetPortIn(0, sim.ConcreteWord(rng.Next()))
 		ci := sys.EvalCycle(nil)
 		if !ci.PmemOK {
 			return 0, fmt.Errorf("rtos: PC unknown at cycle %d", sys.Cycle)

@@ -187,7 +187,6 @@ func (s *Server) tryServeExistingLocked(w http.ResponseWriter, r *http.Request, 
 	// Repair keys are domain-tagged, so a hit's shape always matches the
 	// submission's mode.
 	if c, ok := s.cache.get(key); ok {
-		s.m.cacheHits++
 		s.prom.cacheHits.Inc()
 		j := s.newJobLocked(key, mode)
 		j.cacheHit = true
@@ -200,7 +199,6 @@ func (s *Server) tryServeExistingLocked(w http.ResponseWriter, r *http.Request, 
 	// In-flight dedup: an identical job already queued or running serves
 	// this submission too; the engine executes once.
 	if ex, ok := s.inflight[key]; ok {
-		s.m.coalesced++
 		s.prom.coalesced.Inc()
 		s.mu.Unlock()
 		ex.mu.Lock()
@@ -217,9 +215,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Fault injection (chaos harness): a spurious overload answer that a
 	// well-behaved client absorbs by honoring Retry-After and retrying.
 	if p := s.cfg.ChaosRejectPercent; p > 0 && rand.IntN(100) < p {
-		s.mu.Lock()
-		s.m.chaosInjected++
-		s.mu.Unlock()
 		s.prom.chaosInjected.Inc()
 		setRetryAfter(w, time.Second)
 		writeError(w, http.StatusServiceUnavailable, "chaos: injected overload")
@@ -244,9 +239,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// queue or cache state is touched.
 	if s.quotas != nil {
 		if ok, retry := s.quotas.admit(tenantOf(r)); !ok {
-			s.mu.Lock()
-			s.m.quotaRejected++
-			s.mu.Unlock()
 			s.prom.quotaRejected.Inc()
 			setRetryAfter(w, retry)
 			writeError(w, http.StatusTooManyRequests, "tenant %q over submission quota", tenantOf(r))
@@ -267,7 +259,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server draining")
 		return
 	}
-	s.m.submitted++
 	s.prom.jobsSubmitted.Inc()
 	if s.tryServeExistingLocked(w, r, key, mode, wait, submitStart) {
 		return
@@ -282,7 +273,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	if stored != nil {
-		s.m.storeHits++
 		s.prom.storeHits.Inc()
 		s.cache.put(key, stored)
 	}
@@ -291,14 +281,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.tryServeExistingLocked(w, r, key, mode, wait, submitStart) {
 		return
 	}
-	s.m.cacheMisses++
 	s.prom.cacheMisses.Inc()
 	// Deadline-aware shedding: a job that would time out waiting for a
 	// worker is refused now, with the predicted wait as Retry-After,
 	// instead of burning a worker on a result nobody can use.
 	if estWait := s.estimatedQueueWaitLocked(); deadline > 0 && estWait > deadline {
-		s.m.shed++
-		s.m.submitted-- // not accepted (the prom counter stays monotonic)
 		s.mu.Unlock()
 		s.prom.jobsShed.Inc()
 		setRetryAfter(w, estWait)
@@ -316,12 +303,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.inflight[key] = j
 		s.m.queueDepth++
 		s.mu.Unlock()
-		s.prom.queueDepth.Add(1)
 		s.publish(j.id, EventState, StateEventJSON{ID: j.id, State: stateQueued})
 		s.log.Debug("job queued", "job_id", j.id, "tenant", j.tenant, "key", j.key)
 	default:
-		s.m.rejected++
-		s.m.submitted-- // not accepted (the prom counter stays monotonic)
 		s.prom.jobsRejected.Inc()
 		delete(s.jobs, j.id)
 		retry := s.estimatedQueueWaitLocked()
@@ -374,7 +358,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	j, ok := s.jobs[r.PathValue("id")]
 	if ok {
-		s.m.cancels++
 		s.prom.cancels.Inc()
 	}
 	s.mu.Unlock()
@@ -401,10 +384,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.handleMetricsJSON(w, r)
 		return
 	}
-	// The queue-depth gauge is maintained at enqueue/dequeue transitions
-	// (sampling len(s.queue) here would race against concurrent senders
-	// and receivers); only genuinely scrape-derived series sync here.
+	// State gauges are copied at scrape time. The queue depth comes from
+	// the transition count in Server.m: sampling len(s.queue) would race
+	// against concurrent senders and receivers.
 	s.mu.Lock()
+	s.prom.queueDepth.Set(float64(s.m.queueDepth))
+	s.prom.workersBusy.Set(float64(s.m.busyWorkers))
 	s.prom.cacheEntries.Set(float64(s.cache.len()))
 	s.syncStoreMetricsLocked()
 	s.mu.Unlock()
@@ -414,39 +399,47 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.prom.reg.WritePrometheus(w) //nolint:errcheck // a broken client connection is not recoverable here
 }
 
+// handleMetricsJSON renders the legacy JSON shape: the event counts from
+// the registry, which is their only store, and the state from Server.m.
 func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
+	p := s.prom
+	count := func(c *obs.Counter) int64 { return int64(c.Value()) }
+	// A rejected or shed submission was counted as submitted first, so
+	// reading the rejections before the submissions keeps the difference
+	// from undercounting accepted jobs.
+	rejected, shed := count(p.jobsRejected), count(p.jobsShed)
 	m := MetricsJSON{
-		JobsSubmitted:   s.m.submitted,
-		JobsCompleted:   s.m.completed,
-		JobsByVerdict:   make(map[string]int64, len(s.m.byVerdict)),
-		CacheHits:       s.m.cacheHits,
-		CacheMisses:     s.m.cacheMisses,
-		CacheEntries:    s.cache.len(),
-		JobsCoalesced:   s.m.coalesced,
-		EngineRuns:      s.m.engineRuns,
-		JobsRejected:    s.m.rejected,
-		DeadlineShed:    s.m.shed,
-		QuotaRejected:   s.m.quotaRejected,
-		ChaosInjected:   s.m.chaosInjected,
-		CancelRequests:  s.m.cancels,
-		QueueDepth:      s.m.queueDepth,
+		JobsSubmitted:   count(p.jobsSubmitted) - rejected - shed,
+		JobsByVerdict:   map[string]int64{},
+		CacheHits:       count(p.cacheHits),
+		CacheMisses:     count(p.cacheMisses),
+		JobsCoalesced:   count(p.coalesced),
+		EngineRuns:      int64(p.runDur.Count()),
+		JobsRejected:    rejected,
+		DeadlineShed:    shed,
+		QuotaRejected:   count(p.quotaRejected),
+		ChaosInjected:   count(p.chaosInjected),
+		CancelRequests:  count(p.cancels),
 		Workers:         s.cfg.Workers,
-		BusyWorkers:     s.m.busyWorkers,
-		CyclesSimulated: s.m.cyclesTotal,
-		Draining:        s.draining,
-		StoreHits:       s.m.storeHits,
+		CyclesSimulated: uint64(p.engCycles.Value()),
+		StoreHits:       count(p.storeHits),
 
-		RepairJobs:         s.m.repairJobs,
-		RepairRounds:       s.m.repairRounds,
-		RepairMaskedStores: s.m.repairMaskedStores,
+		RepairJobs:         count(p.repairJobs),
+		RepairRounds:       count(p.repairRounds),
+		RepairMaskedStores: count(p.repairMasked),
 
 		StreamSubscribers: s.broker.Subscribers(),
 		StreamTopics:      s.broker.Topics(),
 	}
-	for k, v := range s.m.byVerdict {
-		m.JobsByVerdict[k] = v
+	for verdict, n := range p.jobsCompleted.Values() {
+		m.JobsByVerdict[verdict] = int64(n)
+		m.JobsCompleted += int64(n)
 	}
+	s.mu.Lock()
+	m.CacheEntries = s.cache.len()
+	m.QueueDepth = s.m.queueDepth
+	m.BusyWorkers = s.m.busyWorkers
+	m.Draining = s.draining
 	s.mu.Unlock()
 	if s.store != nil {
 		st := s.store.Stats()

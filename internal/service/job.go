@@ -90,7 +90,6 @@ type job struct {
 	coalesced int64 // extra submissions served by this execution
 	cancelled bool
 	created   time.Time
-	finished  time.Time
 }
 
 func (j *job) setState(st string) {
@@ -112,7 +111,6 @@ func (j *job) finish(res *cachedResult) {
 	j.mu.Lock()
 	j.state = stateDone
 	j.res = res
-	j.finished = time.Now()
 	j.mu.Unlock()
 	close(j.done)
 }

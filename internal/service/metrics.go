@@ -16,9 +16,9 @@ type storeStats = store.Stats
 
 // promMetrics bundles every Prometheus series gliftd exports: the service
 // series (request latency, queue/worker/cache state, job outcomes) and the
-// engine series fed by each job's Progress stream. The JSON counters in
-// Server.m keep the legacy /metrics.json shape; these series are the
-// time-series view over the same events.
+// engine series fed by each job's Progress stream. The registry is the only
+// store of gliftd's event counts: /metrics.json renders its legacy shape
+// from these series, and each event updates one of them at one site.
 type promMetrics struct {
 	reg *obs.Registry
 

@@ -140,11 +140,6 @@ func (k *repairKind) run(ctx context.Context, s *Server, j *job, opt *glift.Opti
 		res.rep, res.rres = out.Report, &rj
 		masked = out.Overheads.Targeted.MaskedStores
 	}
-	s.mu.Lock()
-	s.m.repairJobs++
-	s.m.repairRounds += cost.engineRuns
-	s.m.repairMaskedStores += int64(masked)
-	s.mu.Unlock()
 	s.prom.repairJobs.Inc()
 	s.prom.repairRounds.Add(float64(cost.engineRuns))
 	s.prom.repairMasked.Add(float64(masked))

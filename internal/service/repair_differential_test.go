@@ -16,6 +16,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
@@ -72,11 +73,20 @@ func normalizedRepairJSON(t *testing.T, rj repair.ResultJSON) string {
 	return string(out)
 }
 
+// references memoizes the reference loop per benchmark name, so the knob
+// sweep reuses what TestRepairDifferentialAllBenchmarks computed in the
+// same package run; each value is a sync.OnceValues function.
+var references sync.Map
+
 // runReference executes the shared round loop directly — the exact code
-// path cmd/secure430 runs — as the differential reference.
+// path cmd/secure430 runs — as the differential reference, once per
+// benchmark and package run.
 func runReference(t *testing.T, b *bench.Benchmark) *repair.Result {
 	t.Helper()
-	res, err := repair.Run(context.Background(), benchRepairSpec(b))
+	run, _ := references.LoadOrStore(b.Name, sync.OnceValues(func() (*repair.Result, error) {
+		return repair.Run(context.Background(), benchRepairSpec(b))
+	}))
+	res, err := run.(func() (*repair.Result, error))()
 	if err != nil {
 		t.Fatalf("reference repair.Run(%s): %v", b.Name, err)
 	}

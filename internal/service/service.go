@@ -127,31 +127,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// counters aggregates service metrics; all fields are guarded by Server.mu.
-type counters struct {
-	submitted     int64
-	completed     int64
-	byVerdict     map[string]int64
-	cacheHits     int64
-	cacheMisses   int64
-	storeHits     int64
-	coalesced     int64
-	engineRuns    int64
-	rejected      int64
-	shed          int64
-	quotaRejected int64
-	chaosInjected int64
-	cancels       int64
-	cyclesTotal   uint64
-	busyWorkers   int
-	// Repair-mode activity: jobs executed, rounds run across them, and
-	// stores masked in their final patched builds.
-	repairJobs         int64
-	repairRounds       int64
-	repairMaskedStores int64
+// loadState is the admission and drain state; its fields are guarded by
+// Server.mu. The event counts live in the registry (promMetrics) alone.
+type loadState struct {
 	// queueDepth tracks enqueue/dequeue transitions (never sampled from the
 	// channel, which would race against concurrent senders and receivers).
-	queueDepth int
+	queueDepth  int
+	busyWorkers int
 	// avgRunNanos is the completed-job duration EWMA pricing queue
 	// admission for deadline-aware shedding.
 	avgRunNanos float64
@@ -182,7 +164,7 @@ type Server struct {
 	nextID   uint64
 	closed   bool
 	draining bool
-	m        counters
+	m        loadState
 	prom     *promMetrics
 }
 
@@ -227,7 +209,6 @@ func NewOn(d *mcu.Design, cfg Config) (*Server, error) {
 	if cfg.TenantRate > 0 {
 		s.quotas = newTenantQuotas(cfg.TenantRate, cfg.TenantBurst)
 	}
-	s.m.byVerdict = make(map[string]int64)
 	s.mux = http.NewServeMux()
 	s.routes()
 	for i := 0; i < cfg.Workers; i++ {
@@ -376,8 +357,6 @@ func (s *Server) worker() {
 		s.m.queueDepth--
 		s.m.busyWorkers++
 		s.mu.Unlock()
-		s.prom.queueDepth.Add(-1)
-		s.prom.workersBusy.Add(1)
 		s.runJob(j)
 	}
 }
@@ -428,17 +407,12 @@ func (s *Server) runJob(j *job) {
 
 	s.mu.Lock()
 	s.m.busyWorkers--
-	s.m.engineRuns += cost.engineRuns
-	s.m.completed++
-	s.m.byVerdict[verdict.String()]++
-	s.m.cyclesTotal += cost.cycles
 	s.observeRunLocked(time.Since(started))
 	delete(s.inflight, j.key)
 	if keep {
 		s.cache.put(j.key, res)
 	}
 	s.mu.Unlock()
-	s.prom.workersBusy.Add(-1)
 	s.prom.jobsCompleted.With(verdict.String()).Inc()
 	s.finishJob(j, res, StageTimesJSON{
 		QueueWaitNS: queueWait.Nanoseconds(),
